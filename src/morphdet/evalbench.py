@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DataError,
     MetricError,
+    NumericError,
     ProtocolError,
     RangeError,
 )
@@ -201,12 +202,16 @@ def read_scores(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}: malformed score line {line!r}")
-        scores.append((parts[0], float(parts[1])))
+        try:
+            scores.append((parts[0], float(parts[1])))
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric score in line {line!r}") from exc
     return scores
 
 
 def align_scores(entries, scores):
-    """Order scores by protocol entry; reject missing/duplicate/stray ids.
+    """Order scores by protocol entry; reject missing/duplicate/stray ids
+    and non-finite scores.
 
     Returns (score array, is_attack bool array).
     """
@@ -222,6 +227,11 @@ def align_scores(entries, scores):
     if stray:
         raise ProtocolError(f"scores for unknown pairs: {sorted(stray)[:3]}")
     values = np.array([by_id[e.pair_id] for e in entries], dtype=np.float64)
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        first = entries[int(nonfinite[0])].pair_id
+        raise NumericError(f"{nonfinite.size} non-finite scores, first {first!r}: "
+                           f"{values[nonfinite[0]]}")
     is_attack = np.array([e.ground_truth == GT_MORPH for e in entries], dtype=bool)
     return values, is_attack
 

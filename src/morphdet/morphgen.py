@@ -2,9 +2,12 @@
 
 Pipeline for one landmark morph: average the two landmark sets, triangulate
 the averaged set (plus 8 fixed border points) once, warp both source images
-onto the averaged geometry triangle by triangle with inverse affine maps and
-bilinear sampling, then alpha-blend the warped images. Selfmorphs run the
-same pipeline on two images of one identity and are labeled bona fide
+onto the averaged geometry with inverse affine maps and bilinear sampling,
+then alpha-blend the warped images. Each warp is one batched pass over all
+triangles: one stacked affine solve, one barycentric test of every pixel
+center against each triangle whose bounding box holds it, one matrix
+product for the source coordinates and one bilinear gather. Selfmorphs run
+the same pipeline on two images of one identity and are labeled bona fide
 downstream; they exist to stop detectors from keying on blend artifacts.
 
 Latent-family morphs delegate to the generator's latent interpolation and
@@ -15,7 +18,6 @@ A pixel center on a shared edge belongs to the lowest-index triangle in the
 canonical ordering. Every pixel is written exactly once per warp.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -135,20 +137,27 @@ def triangulate(points) -> Triangulation:
 def affine_map(from_tri, to_tri) -> np.ndarray:
     """3x2 matrix M with [x, y, 1] @ M mapping from_tri vertices onto to_tri.
 
-    Exact identity when the triangles are bit-identical, so warps between
-    equal geometries reproduce pixels exactly.
+    Also maps two (T, 3, 2) stacks of triples to the (T, 3, 2) stack of
+    matrices, solved in one stacked call. A map is the exact identity when
+    its two triangles are bit-identical, so warps between equal geometries
+    reproduce pixels exactly.
     """
     src = np.asarray(from_tri, dtype=np.float64)
     dst = np.asarray(to_tri, dtype=np.float64)
-    if src.shape != (3, 2) or dst.shape != (3, 2):
-        raise GeometryError("affine_map expects two point triples")
-    if np.array_equal(src, dst):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    m = np.column_stack([src, np.ones(3)])
-    try:
-        return np.linalg.solve(m, dst)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError(f"degenerate triangle, affine map undefined: {exc}") from exc
+    if src.shape != dst.shape or src.ndim not in (2, 3) or src.shape[-2:] != (3, 2):
+        raise GeometryError("affine_map expects two point triples or two stacks of them")
+    stack_src = src.reshape(-1, 3, 2)
+    stack_dst = dst.reshape(-1, 3, 2)
+    maps = np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), (len(stack_src), 1, 1))
+    moved = ~np.all(stack_src == stack_dst, axis=(1, 2))
+    if moved.any():
+        homogeneous = np.concatenate(
+            [stack_src[moved], np.ones((int(moved.sum()), 3, 1))], axis=2)
+        try:
+            maps[moved] = np.linalg.solve(homogeneous, stack_dst[moved])
+        except np.linalg.LinAlgError as exc:
+            raise GeometryError(f"degenerate triangle, affine map undefined: {exc}") from exc
+    return maps.reshape(src.shape)
 
 
 @dataclass
@@ -182,61 +191,78 @@ def _bilinear(image: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
 
 
 def warp_affine_triangle(src_image, src_tri, dst_tri, acc: WarpAccumulator,
-                         tri_index: int = 0) -> int:
+                         tri_index=0) -> int:
     """Fill the dst_tri pixels of the accumulator from src_image.
 
-    Inverse-maps each unclaimed pixel center inside dst_tri through the
-    affine transform dst -> src and bilinearly samples. Returns the number
-    of pixels written.
+    src_tri and dst_tri are one (3, 2) point triple each, or two (T, 3, 2)
+    stacks warped in one pass. tri_index is the owner index recorded for the
+    triangle: a (T,) array for a stack, or a scalar that numbers the stack
+    upward from itself. A pixel center is claimed by the first triangle in
+    the stack that contains it, unless the accumulator already owns it;
+    claimed pixels are inverse-mapped through their triangle's affine
+    transform dst -> src and bilinearly sampled. Returns the number of
+    pixels written.
     """
     dst = np.asarray(dst_tri, dtype=np.float64)
-    inverse = affine_map(dst, src_tri)
-    h, w = src_image.shape
+    inverse = affine_map(dst, src_tri).reshape(-1, 3, 2)
+    dst = dst.reshape(-1, 3, 2)
+    indices = np.asarray(tri_index, dtype=np.int64)
+    if indices.ndim == 0:
+        indices = indices + np.arange(len(dst))
+    if indices.shape != (len(dst),):
+        raise GeometryError(f"expected {len(dst)} triangle indices, got {indices.shape}")
+    height, width = acc.owner.shape
 
-    x_lo = max(int(math.floor(dst[:, 0].min())), 0)
-    x_hi = min(int(math.ceil(dst[:, 0].max())), w - 1)
-    y_lo = max(int(math.floor(dst[:, 1].min())), 0)
-    y_hi = min(int(math.ceil(dst[:, 1].max())), h - 1)
-    if x_lo > x_hi or y_lo > y_hi:
-        return 0
-    ys, xs = np.mgrid[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    xs = xs.astype(np.float64)
-    ys = ys.astype(np.float64)
+    # candidate (pixel, triangle) pairs: every unclaimed pixel center in a
+    # triangle's bounding box, pixel by pixel with triangles ascending
+    lo = np.floor(dst.min(axis=1))
+    hi = np.ceil(dst.max(axis=1))
+    cols = np.arange(width)[:, None]
+    rows = np.arange(height)[:, None]
+    in_cols = (cols >= lo[:, 0]) & (cols <= hi[:, 0])
+    in_rows = (rows >= lo[:, 1]) & (rows <= hi[:, 1])
+    near = in_rows[:, None, :] & in_cols[None, :, :] & (acc.owner < 0)[:, :, None]
+    pix, tri = np.divmod(np.flatnonzero(near), len(dst))
 
-    # barycentric inside test against dst_tri
-    e1 = dst[1] - dst[0]
-    e2 = dst[2] - dst[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    if abs(det) < 1e-12:
+    # one barycentric inside test over all pairs
+    e1 = dst[:, 1] - dst[:, 0]
+    e2 = dst[:, 2] - dst[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    if np.any(np.abs(det) < 1e-12):
         raise GeometryError("degenerate destination triangle")
-    rx = xs - dst[0, 0]
-    ry = ys - dst[0, 1]
-    u = (rx * e2[1] - ry * e2[0]) / det
-    v = (ry * e1[0] - rx * e1[1]) / det
+    py, px = np.divmod(pix, width)
+    rx = px - dst[tri, 0, 0]
+    ry = py - dst[tri, 0, 1]
+    u = (rx * e2[tri, 1] - ry * e2[tri, 0]) / det[tri]
+    v = (ry * e1[tri, 0] - rx * e1[tri, 1]) / det[tri]
     inside = (u >= -_EDGE_EPS) & (v >= -_EDGE_EPS) & (u + v <= 1.0 + _EDGE_EPS)
+    pix, tri = pix[inside], tri[inside]
 
-    window = (slice(y_lo, y_hi + 1), slice(x_lo, x_hi + 1))
-    claim = inside & (acc.owner[window] < 0)
-    if not np.any(claim):
-        return 0
-    px = xs[claim]
-    py = ys[claim]
-    sxy = np.column_stack([px, py, np.ones_like(px)]) @ inverse
+    # a pixel's first inside pair is its lowest-index triangle, which claims it
+    lead = np.flatnonzero(np.diff(pix, prepend=-1))
+    pixel, first = pix[lead], tri[lead]
+    iy, ix = np.divmod(pixel, width)
+
+    # one product maps every claimed pixel through every triangle's inverse
+    # map; each pixel then keeps the source point under its own triangle
+    homogeneous = np.column_stack([ix, iy, np.ones(pixel.size)])
+    mapped = homogeneous @ inverse.transpose(1, 0, 2).reshape(3, -1)
+    sxy = mapped.reshape(pixel.size, len(dst), 2)[np.arange(pixel.size), first]
     values = _bilinear(np.asarray(src_image, dtype=np.float64), sxy[:, 0], sxy[:, 1])
 
-    iy = py.astype(np.int64)
-    ix = px.astype(np.int64)
     acc.pixels[iy, ix] = values
-    acc.owner[iy, ix] = tri_index
-    acc.hits[iy, ix] += 1
-    return int(claim.sum())
+    acc.owner[iy, ix] = indices[first]
+    acc.hits += np.bincount(pixel, minlength=height * width).reshape(height, width)
+    return int(pixel.size)
 
 
 def warp_image(src_image, src_points, dst_points, tri: Triangulation) -> WarpAccumulator:
     """Piecewise-affine warp of a full image onto dst geometry.
 
-    Raises if any pixel center ends up unclaimed; the hit mask then reads
-    exactly 1 everywhere.
+    All triangles go through warp_affine_triangle in one stacked call, in
+    canonical order, so a pixel center on a shared edge goes to the
+    lowest-index triangle. Raises if any pixel center ends up unclaimed;
+    the hit mask then reads exactly 1 everywhere.
     """
     src_image = np.asarray(src_image, dtype=np.float64)
     src_points = np.asarray(src_points, dtype=np.float64)
@@ -246,8 +272,7 @@ def warp_image(src_image, src_points, dst_points, tri: Triangulation) -> WarpAcc
             f"point set shapes differ: {src_points.shape} vs {dst_points.shape}"
         )
     acc = WarpAccumulator.zeros(*src_image.shape)
-    for index, triple in enumerate(tri.triangles):
-        warp_affine_triangle(src_image, src_points[triple], dst_points[triple], acc, index)
+    warp_affine_triangle(src_image, src_points[tri.triangles], dst_points[tri.triangles], acc)
     missed = int((acc.owner < 0).sum())
     if missed:
         raise TopologyError(f"warp left {missed} pixels uncovered")

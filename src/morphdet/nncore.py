@@ -350,19 +350,33 @@ def read_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    if len(raw) < 12:
+        raise DataError(f"{path}: truncated checkpoint header")
     version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise DataError(f"{path}: checkpoint header needs a meta object and an arrays list")
     offset = 12 + hlen
     out = {}
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+        try:
+            name = str(entry["name"])
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed array entry {entry!r}") from exc
+        if any(d < 0 for d in shape):
+            raise DataError(f"{path}: negative dimension in array {name}")
         count = int(np.prod(shape)) if shape else 1
         blob = raw[offset : offset + 8 * count]
         if len(blob) != 8 * count:
-            raise DataError(f"{path}: truncated array {entry['name']}")
-        out[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+            raise DataError(f"{path}: truncated array {name}")
+        out[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
         offset += 8 * count
     return header["meta"], out

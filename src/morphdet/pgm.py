@@ -36,6 +36,8 @@ def read_pgm(path) -> np.ndarray:
     tokens, offset = _header_tokens(raw, path)
     if tokens[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise DataError(f"{path}: non-integer PGM header fields {tokens[1:4]!r}")
     w, h, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")

@@ -11,6 +11,7 @@ learning rate decays linearly across the full planned step count. Reports
 are per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`.
 """
 
+import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -334,6 +335,17 @@ def _backbone_from_arrays(prefix: str, arrays: dict, n_layers: int) -> MlpBackbo
     return MlpBackbone(layers)
 
 
+@contextlib.contextmanager
+def _checkpoint_fields(path):
+    """Turn a missing or malformed checkpoint meta key or array into DataError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint field: {exc}") from exc
+
+
 def save_model(path, model: DualModel, seed: int, extra_meta: dict = None) -> None:
     meta = {
         "kind": "dual",
@@ -361,15 +373,18 @@ def load_model(path):
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "dual":
         raise DataError(f"{path}: not a dual-model checkpoint")
-    n_layers = int(meta["n_layers"])
-    model = DualModel(
-        first_backbone=_backbone_from_arrays("first", arrays, n_layers),
-        second_backbone=_backbone_from_arrays("second", arrays, n_layers),
-        first_head=ClassifierHead(arrays["first.head.weights"], arrays["first.head.biases"]),
-        second_head=ClassifierHead(arrays["second.head.weights"], arrays["second.head.biases"]),
-        variant=str(meta["variant"]),
-        num_classes=int(meta["num_classes"]),
-    )
+    with _checkpoint_fields(path):
+        n_layers = int(meta["n_layers"])
+        model = DualModel(
+            first_backbone=_backbone_from_arrays("first", arrays, n_layers),
+            second_backbone=_backbone_from_arrays("second", arrays, n_layers),
+            first_head=ClassifierHead(arrays["first.head.weights"],
+                                      arrays["first.head.biases"]),
+            second_head=ClassifierHead(arrays["second.head.weights"],
+                                       arrays["second.head.biases"]),
+            variant=str(meta["variant"]),
+            num_classes=int(meta["num_classes"]),
+        )
     return model, meta
 
 
@@ -459,8 +474,9 @@ def load_identity_model(path):
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "identity":
         raise DataError(f"{path}: not an identity-classifier checkpoint")
-    backbone = _backbone_from_arrays("backbone", arrays, int(meta["n_layers"]))
-    head = ClassifierHead(arrays["head.weights"], arrays["head.biases"])
+    with _checkpoint_fields(path):
+        backbone = _backbone_from_arrays("backbone", arrays, int(meta["n_layers"]))
+        head = ClassifierHead(arrays["head.weights"], arrays["head.biases"])
     return backbone, head, meta
 
 

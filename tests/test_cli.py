@@ -125,6 +125,19 @@ def test_compare_command(pipeline, capsys):
     assert (out / "det-fused.csv").is_file()
 
 
+def test_compare_rejects_a_nan_score(pipeline, tmp_path, capsys):
+    lines = (pipeline["eval"] / "scores.tsv").read_text().splitlines()
+    pair_id = lines[1].split("\t")[0]
+    lines[1] = f"{pair_id}\tnan"
+    spoiled = tmp_path / "nan.tsv"
+    spoiled.write_text("\n".join(lines) + "\n")
+    assert run(["compare", "--out-dir", tmp_path / "cmp",
+                "--protocol", pipeline["data"] / "protocol-landmark.tsv",
+                f"mad={spoiled}"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and pair_id in err
+
+
 def test_train_respects_family_selection(pipeline, capsys):
     out = pipeline["base"] / "train_latent"
     assert run(["train", "--data-dir", pipeline["data"], "--out-dir", out,

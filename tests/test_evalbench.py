@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from morphdet.errors import DataError, MetricError, ProtocolError, RangeError
+from morphdet.errors import DataError, MetricError, NumericError, ProtocolError, RangeError
 from morphdet.evalbench import (
     DEFAULT_DELTAS,
     FUSE_DISSIMILARITY,
@@ -244,6 +244,9 @@ def test_score_files_round_trip(tmp_path):
     bad.write_text("p0 0.5\n")
     with pytest.raises(DataError):
         read_scores(bad)
+    bad.write_text("p0\thigh\n")
+    with pytest.raises(DataError, match="non-numeric"):
+        read_scores(bad)
     with pytest.raises(DataError):
         read_scores(tmp_path / "absent.tsv")
 
@@ -261,6 +264,10 @@ def test_align_scores_orders_and_validates(tiny_protocol):
         align_scores(tiny_protocol, scores + [scores[0]])
     with pytest.raises(ProtocolError, match="unknown"):
         align_scores(tiny_protocol, scores + [("zz999", 0.5)])
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = scores[:2] + [(scores[2][0], bad)] + scores[3:]
+        with pytest.raises(NumericError, match=scores[2][0]):
+            align_scores(tiny_protocol, spoiled)
 
 
 def test_score_protocol_reports_exclusions(tiny_corpus, tiny_protocol, tiny_model):

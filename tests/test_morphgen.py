@@ -5,6 +5,8 @@ brute-force empty-circumcircle verifier, so the geometric contract does not
 rest on the library alone.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from morphdet.fusedloss import (
 from morphdet.morphgen import (
     MorphConfig,
     WarpAccumulator,
+    _bilinear,
     affine_map,
     border_points,
     generate_morph_corpus,
@@ -190,6 +193,131 @@ def test_affine_map_rejects_degenerate_triangles():
         affine_map(flat, flat + 1.0)  # not bit-identical, hits the solver
     with pytest.raises(GeometryError):
         affine_map(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def test_affine_map_solves_a_stack_like_single_triples():
+    rng = np.random.default_rng(5)
+    src = rng.uniform(-5.0, 5.0, size=(6, 3, 2))
+    dst = rng.uniform(-5.0, 5.0, size=(6, 3, 2))
+    dst[2] = src[2]
+    # a bit-identical pair keeps the identity shortcut even when degenerate
+    src[4] = dst[4] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    maps = affine_map(src, dst)
+    assert maps.shape == (6, 3, 2)
+    for k in range(6):
+        assert np.array_equal(maps[k], affine_map(src[k], dst[k]))
+    identity = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(maps[2], identity)
+    assert np.array_equal(maps[4], identity)
+    dst[4] = dst[4] + 1.0
+    with pytest.raises(GeometryError):
+        affine_map(src, dst)
+    with pytest.raises(GeometryError):
+        affine_map(src, dst[:5])
+
+
+def reference_warp(src_image, src_points, dst_points, tri):
+    """Triangle-by-triangle warp: each triangle solves its own inverse map,
+    tests the pixel centers of its bounding-box window and claims those no
+    lower-index triangle took. Returns (pixels, owner, hits)."""
+    height, width = src_image.shape
+    pixels = np.zeros((height, width))
+    owner = np.full((height, width), -1, dtype=np.int64)
+    hits = np.zeros((height, width), dtype=np.int64)
+    for index, triple in enumerate(tri.triangles):
+        dst = dst_points[triple]
+        src = src_points[triple]
+        if np.array_equal(dst, src):
+            inverse = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        else:
+            inverse = np.linalg.solve(np.column_stack([dst, np.ones(3)]), src)
+        x_lo = max(int(math.floor(dst[:, 0].min())), 0)
+        x_hi = min(int(math.ceil(dst[:, 0].max())), width - 1)
+        y_lo = max(int(math.floor(dst[:, 1].min())), 0)
+        y_hi = min(int(math.ceil(dst[:, 1].max())), height - 1)
+        ys, xs = np.mgrid[y_lo : y_hi + 1, x_lo : x_hi + 1].astype(np.float64)
+        e1 = dst[1] - dst[0]
+        e2 = dst[2] - dst[0]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        rx = xs - dst[0, 0]
+        ry = ys - dst[0, 1]
+        u = (rx * e2[1] - ry * e2[0]) / det
+        v = (ry * e1[0] - rx * e1[1]) / det
+        inside = (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9)
+        claim = inside & (owner[y_lo : y_hi + 1, x_lo : x_hi + 1] < 0)
+        px, py = xs[claim], ys[claim]
+        sxy = np.column_stack([px, py, np.ones_like(px)]) @ inverse
+        iy, ix = py.astype(np.int64), px.astype(np.int64)
+        pixels[iy, ix] = _bilinear(src_image, sxy[:, 0], sxy[:, 1])
+        owner[iy, ix] = index
+        hits[iy, ix] += 1
+    return pixels, owner, hits
+
+
+def warp_geometries(size, rng):
+    """(image, src points, dst points): face landmarks, uniform random
+    points, and a jittered source onto an integer mesh whose triangle edges
+    run through pixel centers."""
+    cfg = SynthConfig(image_size=size)
+    border = border_points(size, size)
+    for k in range(4):
+        a = render(make_identity(size, 2 * k, cfg), (size, k, 0), cfg)
+        b = render(make_identity(size, 2 * k + 1, cfg), (size, k, 1), cfg)
+        src = np.vstack([a.landmarks, border])
+        yield a.pixels, src, np.vstack([0.5 * (a.landmarks + b.landmarks), border])
+        yield a.pixels, src, np.vstack([rng.uniform(1.0, size - 2.0, a.landmarks.shape),
+                                        border])
+        step = size // 4
+        mesh = np.array([[x, y] for x in range(step, size - 1, step)
+                         for y in range(step, size - 1, step)], dtype=np.float64)
+        jitter = mesh + rng.uniform(-1.0, 1.0, mesh.shape)
+        yield a.pixels, np.vstack([jitter, border]), np.vstack([mesh, border])
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_batched_warp_matches_the_per_triangle_loop(size):
+    rng = np.random.default_rng(size)
+    for image, src, dst in warp_geometries(size, rng):
+        tri = triangulate(dst)
+        pixels, owner, hits = reference_warp(image, src, dst, tri)
+        acc = warp_image(image, src, dst, tri)
+        assert np.array_equal(acc.pixels, pixels)
+        assert np.array_equal(acc.owner, owner)
+        assert np.array_equal(acc.hits, hits)
+        assert np.all(acc.hits == 1)
+
+
+def test_stacked_call_claims_like_sequential_calls():
+    image = np.arange(64.0).reshape(8, 8) / 64.0
+    half = np.array([[-0.5, -0.5], [7.5, -0.5], [-0.5, 7.5]])
+    whole = np.array([[-0.5, -0.5], [15.5, -0.5], [-0.5, 15.5]])
+    src = np.stack([half + [0.25, 0.5], 0.5 * whole])
+    dst = np.stack([half, whole])
+
+    def claimed_row_zero():
+        acc = WarpAccumulator.zeros(8, 8)
+        acc.pixels[0] = 7.0
+        acc.owner[0] = 5
+        return acc
+
+    sequential = claimed_row_zero()
+    written = sum(warp_affine_triangle(image, src[k], dst[k], sequential, k) for k in (0, 1))
+    stacked = claimed_row_zero()
+    assert warp_affine_triangle(image, src, dst, stacked, np.array([0, 1])) == written == 56
+    assert np.array_equal(stacked.pixels, sequential.pixels)
+    assert np.array_equal(stacked.owner, sequential.owner)
+    assert np.array_equal(stacked.hits, sequential.hits)
+    # the lower index wins the overlap; the earlier claim is never overwritten
+    ys, xs = np.mgrid[0:8, 0:8]
+    in_half = xs + ys <= 7
+    assert np.all(stacked.owner[1:][in_half[1:]] == 0)
+    assert np.all(stacked.owner[1:][~in_half[1:]] == 1)
+    assert np.all(stacked.owner[0] == 5) and np.all(stacked.pixels[0] == 7.0)
+    assert np.all(stacked.hits[0] == 0) and np.all(stacked.hits[1:] == 1)
+    # in reverse order the covering triangle claims every free pixel
+    reverse = claimed_row_zero()
+    assert warp_affine_triangle(image, src[::-1], dst[::-1], reverse, 0) == 56
+    assert np.all(reverse.owner[1:] == 0)
 
 
 def test_identity_warp_reproduces_the_image_exactly(face_pair):

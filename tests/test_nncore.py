@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from morphdet.errors import ConfigError, DataError, NumericError, ShapeError
 from morphdet.nncore import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ClassifierHead,
     Layer,
     MlpBackbone,
@@ -309,3 +311,42 @@ def test_checkpoint_rejects_foreign_and_truncated(tmp_path):
         read_checkpoint(tmp_path / "cut.mdck")
     with pytest.raises(DataError):
         read_checkpoint(tmp_path / "absent.mdck")
+
+
+def _checkpoint_bytes(header: bytes, payload: bytes = b"") -> bytes:
+    return (CHECKPOINT_MAGIC + np.uint32(CHECKPOINT_VERSION).tobytes()
+            + np.uint32(len(header)).tobytes() + header + payload)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"meta": {}, "arrays": [',  # cut JSON
+    b"\xff\xfe{}",  # not UTF-8
+    b"[]",  # not an object
+    b'{"arrays": []}',  # no meta
+    b'{"meta": {}}',  # no arrays
+    b'{"meta": [], "arrays": []}',  # meta not an object
+    b'{"meta": {}, "arrays": {}}',  # arrays not a list
+    b'{"meta": {}, "arrays": [{"name": "w"}]}',  # entry without a shape
+    b'{"meta": {}, "arrays": [{"name": "w", "shape": ["a"]}]}',
+    b'{"meta": {}, "arrays": [{"name": "w", "shape": [-1, -1]}]}',
+])
+def test_checkpoint_rejects_corrupt_headers(tmp_path, header):
+    path = tmp_path / "corrupt.mdck"
+    path.write_bytes(_checkpoint_bytes(header, b"\x00" * 8))
+    with pytest.raises(DataError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_cut_preamble(tmp_path):
+    path = tmp_path / "short.mdck"
+    path.write_bytes(CHECKPOINT_MAGIC + b"\x01\x00")
+    with pytest.raises(DataError, match="truncated"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_bytes_match_the_documented_layout(tmp_path):
+    path = tmp_path / "w.mdck"
+    write_checkpoint(path, {"kind": "test"}, [("w", np.array([1.5, -2.0]))])
+    header = b'{"arrays":[{"name":"w","shape":[2]}],"meta":{"kind":"test"}}'
+    assert path.read_bytes() == _checkpoint_bytes(
+        header, np.array([1.5, -2.0], dtype="<f8").tobytes())

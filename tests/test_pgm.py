@@ -71,6 +71,15 @@ def test_truncated_data_rejected(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\nx 4\n255\n", b"P5\n4 4.0\n255\n",
+                                    b"P5\n4 4\n-255\n", b"P5\n4 -4\n255\n"])
+def test_non_integer_header_fields_rejected(tmp_path, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(DataError, match="non-integer"):
+        read_pgm(path)
+
+
 def test_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError):
         read_pgm(tmp_path / "absent.pgm")

@@ -173,6 +173,32 @@ def test_checkpoint_kinds_do_not_cross(tmp_path, tiny_training):
         load_model(ident_path)
 
 
+def test_checkpoint_without_a_meta_key_or_array_is_a_data_error(tmp_path, tiny_training):
+    from morphdet.nncore import read_checkpoint, write_checkpoint
+
+    _, model, _ = tiny_training
+    dual = tmp_path / "dual.mdck"
+    save_model(dual, model, seed=0)
+    ident = tmp_path / "ident.mdck"
+    save_identity_model(ident, model.first_backbone, model.first_head, seed=0)
+    broken = tmp_path / "broken.mdck"
+    for loader, path, keys in ((load_model, dual, ("n_layers", "variant", "num_classes")),
+                               (load_identity_model, ident, ("n_layers",))):
+        meta, arrays = read_checkpoint(path)
+        for key in keys:
+            write_checkpoint(broken, {k: v for k, v in meta.items() if k != key},
+                             arrays.items())
+            with pytest.raises(DataError, match=key):
+                loader(broken)
+        write_checkpoint(broken, dict(meta, n_layers="two"), arrays.items())
+        with pytest.raises(DataError, match="malformed"):
+            loader(broken)
+        for name in arrays:
+            write_checkpoint(broken, meta, [(k, v) for k, v in arrays.items() if k != name])
+            with pytest.raises(DataError, match=name):
+                loader(broken)
+
+
 def test_extract_features_validation(tiny_training):
     _, model, _ = tiny_training
     image = np.zeros(256)
