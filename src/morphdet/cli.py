@@ -343,20 +343,11 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten_into(params, theta):
-    offset = 0
-    for p in params:
-        p[...] = theta[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-
-
 def selftest_gradients(variant: str, seed: int = 7):
     """Max relative error between analytic and central-difference gradients
-    of the full fused loss on a small seeded dual model."""
+    of the full fused loss on a small seeded dual model, computed by the same
+    trainer.loss_and_grads that training runs, over the model's packed
+    parameter vector."""
     rng = derive_rng(seed, 999, fusedloss.VARIANTS.index(variant))
     num_classes = 3
     batch = 6
@@ -364,10 +355,9 @@ def selftest_gradients(variant: str, seed: int = 7):
         input_dim=20, hidden_dims=(8,), feature_dim=6,
         num_classes=num_classes, variant=variant, seed=seed,
     )
-    params = model.parameters()
-    n_params = sum(p.size for p in params)
-    if n_params > 2000:
-        raise ConfigError(f"selftest model too large: {n_params} parameters")
+    params, grad, grad_views = nncore.pack_parameters(model.units())
+    if params.size > 2000:
+        raise ConfigError(f"selftest model too large: {params.size} parameters")
     x1 = rng.normal(size=(batch, 20))
     x2 = rng.normal(size=(batch, 20))
     kinds = [fusedloss.KIND_MORPH_LM if i % 2 else fusedloss.KIND_BONAFIDE
@@ -382,29 +372,16 @@ def selftest_gradients(variant: str, seed: int = 7):
         first_classes.append(fusedloss.allocate_labels(labels, kind, variant, num_classes)[0])
         second_classes.append(y1)
         t.append(fusedloss.cross_label(y2, y1))
-    first_classes = np.array(first_classes)
-    second_classes = np.array(second_classes)
-    t = np.array(t, dtype=np.float64)
+    batch_arrays = (x1, x2, np.array(first_classes), np.array(second_classes),
+                    np.array(t, dtype=np.float64))
     weights = fusedloss.LossWeights.for_variant(variant)
 
     def loss_and_grad(theta):
-        _unflatten_into(params, theta)
-        feats1, cache1 = model.first_backbone.forward_cached(x1)
-        feats2, cache2 = model.second_backbone.forward_cached(x2)
-        breakdown, grads = fusedloss.batch_pair_loss(
-            feats1, feats2, model.first_head, model.second_head,
-            first_classes, second_classes, t, weights,
-        )
-        grad_list = (
-            model.first_backbone.backward(cache1, grads.d_first_feats)
-            + [grads.d_first_weights, grads.d_first_biases]
-            + model.second_backbone.backward(cache2, grads.d_second_feats)
-            + [grads.d_second_weights, grads.d_second_biases]
-        )
-        return breakdown.total, _flatten(grad_list)
+        params[...] = theta
+        breakdown = trainer.loss_and_grads(model, batch_arrays, weights, grad_views)
+        return breakdown.total, grad.copy()
 
-    theta0 = _flatten(params)
-    return nncore.finite_diff_check(loss_and_grad, theta0)
+    return nncore.finite_diff_check(loss_and_grad, params.copy())
 
 
 def _oracle_rates(scores, is_attack, tau):

@@ -39,6 +39,8 @@ def read_pgm(path) -> np.ndarray:
     if not all(t.isdigit() for t in tokens[1:4]):
         raise DataError(f"{path}: non-integer PGM header fields {tokens[1:4]!r}")
     w, h, maxval = (int(t) for t in tokens[1:4])
+    if w == 0 or h == 0:
+        raise DataError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     data = raw[offset : offset + w * h]

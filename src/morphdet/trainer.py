@@ -6,9 +6,12 @@ suspect images, the Second network consumes trusted bona fide images sampled
 per the first-identity rule. The same machinery also trains the standalone
 identity classifier used as a face-recognition analog for score fusion.
 
-All parameters update every step through one SGD-with-momentum call; the
-learning rate decays linearly across the full planned step count. Reports
-are per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`.
+Before the first step a model's parameters are packed into one vector
+(nncore.pack_parameters); backward passes write into the matching gradient
+vector, and all parameters update every step through one SGD-with-momentum
+call over the two vectors. The learning rate decays linearly across the full
+planned step count. Reports are per-step CSV rows
+`step,lr,l1,l2,l3,total,t_ratio`.
 """
 
 import contextlib
@@ -39,6 +42,7 @@ from .nncore import (
     ClassifierHead,
     MlpBackbone,
     SgdConfig,
+    pack_parameters,
     read_checkpoint,
     sgd_step,
     softmax_cross_entropy_batch,
@@ -67,6 +71,11 @@ class DualModel:
             + self.second_backbone.parameters()
             + self.second_head.parameters()
         )
+
+    def units(self):
+        """Layers and heads in parameters() order, for pack_parameters."""
+        return (self.first_backbone.layers + [self.first_head]
+                + self.second_backbone.layers + [self.second_head])
 
 
 @dataclass
@@ -162,6 +171,34 @@ def _batch_arrays(batch, cache: ImageCache, variant: str, num_classes: int):
     return suspects, trusted, first_classes, second_classes, t
 
 
+def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_views):
+    """Fused loss of one batch; writes its gradients into grad_views.
+
+    batch_arrays is (suspects, trusted, first_classes, second_classes, t) as
+    built by _batch_arrays; grad_views are the gradient views returned by
+    pack_parameters(model.units()). Gradients are written only when the total
+    loss is finite. Returns the BatchLossBreakdown.
+    """
+    suspects, trusted, first_classes, second_classes, t = batch_arrays
+    first_feats, first_cache = model.first_backbone.forward_cached(suspects)
+    second_feats, second_cache = model.second_backbone.forward_cached(trusted)
+    breakdown, grads = batch_pair_loss(
+        first_feats, second_feats, model.first_head, model.second_head,
+        first_classes, second_classes, t, weights,
+    )
+    if np.isfinite(breakdown.total):
+        # each network's views: its backbone's [dW0, db0, ...], then its head's two
+        n = len(model.first_backbone.parameters()) + 2
+        first, second = grad_views[:n], grad_views[n:]
+        model.first_backbone.backward(first_cache, grads.d_first_feats, out=first[:-2])
+        first[-2][...] = grads.d_first_weights
+        first[-1][...] = grads.d_first_biases
+        model.second_backbone.backward(second_cache, grads.d_second_feats, out=second[:-2])
+        second[-2][...] = grads.d_second_weights
+        second[-1][...] = grads.d_second_biases
+    return breakdown
+
+
 def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
           sgd: SgdConfig, variant: str, seed: int,
           hidden_dims=DEFAULT_HIDDEN_DIMS, feature_dim: int = DEFAULT_FEATURE_DIM,
@@ -188,35 +225,22 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
     model = build_dual_model(probe.size, hidden_dims, feature_dim,
                              num_classes, variant, seed)
     weights = LossWeights.for_variant(variant, pair_weight)
-    params = model.parameters()
-    velocity = [np.zeros_like(p) for p in params]
+    params, grad, grad_views = pack_parameters(model.units())
+    velocity = np.zeros_like(params)
 
     records = []
     for step in range(total_steps):
         batch = sample_batch(corpus, pools, sgd.batch_size, seed, step)
-        suspects, trusted, first_classes, second_classes, t = _batch_arrays(
-            batch, cache, variant, num_classes
-        )
-        first_feats, first_cache = model.first_backbone.forward_cached(suspects)
-        second_feats, second_cache = model.second_backbone.forward_cached(trusted)
-        breakdown, grads = batch_pair_loss(
-            first_feats, second_feats, model.first_head, model.second_head,
-            first_classes, second_classes, t, weights,
-        )
+        batch_arrays = _batch_arrays(batch, cache, variant, num_classes)
+        breakdown = loss_and_grads(model, batch_arrays, weights, grad_views)
         if not np.isfinite(breakdown.total):
             kinds = ",".join(p.first.kind for p in batch[:5])
             raise NumericError(
                 f"training diverged at step {step} "
                 f"(batch head: {batch[0].first.relpath} kinds: {kinds})"
             )
-        grad_list = (
-            model.first_backbone.backward(first_cache, grads.d_first_feats)
-            + [grads.d_first_weights, grads.d_first_biases]
-            + model.second_backbone.backward(second_cache, grads.d_second_feats)
-            + [grads.d_second_weights, grads.d_second_biases]
-        )
         lr = sgd.learning_rate(step)
-        sgd_step(params, grad_list, velocity, step, sgd)
+        sgd_step([params], [grad], [velocity], step, sgd)
         records.append(TrainRecord(step, lr, breakdown.l1, breakdown.l2,
                                    breakdown.l3, breakdown.total, breakdown.t_ratio))
 
@@ -326,6 +350,8 @@ def _backbone_arrays(prefix: str, backbone: MlpBackbone):
 def _backbone_from_arrays(prefix: str, arrays: dict, n_layers: int) -> MlpBackbone:
     from .nncore import Layer
 
+    if n_layers < 1:  # raised inside _checkpoint_fields, which makes it a DataError
+        raise ValueError(f"n_layers must be at least 1, got {n_layers}")
     layers = []
     for k in range(n_layers):
         weights = arrays[f"{prefix}.layer{k}.weights"]
@@ -418,8 +444,8 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
         derive_rng(seed, INIT_STREAM, 10),
     )
     head = ClassifierHead.build(num_classes, feature_dim, derive_rng(seed, INIT_STREAM, 11))
-    params = backbone.parameters() + head.parameters()
-    velocity = [np.zeros_like(p) for p in params]
+    params, grad, grad_views = pack_parameters(backbone.layers + [head])
+    velocity = np.zeros_like(params)
 
     rows = []
     for step in range(total_steps):
@@ -435,12 +461,12 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
         if not np.isfinite(loss):
             raise NumericError(f"identity classifier diverged at step {step}")
         dlogits = dlogits / len(batch)
-        d_head_w = dlogits.T @ feats
-        d_head_b = dlogits.sum(axis=0)
+        np.matmul(dlogits.T, feats, out=grad_views[-2])
+        np.sum(dlogits, axis=0, out=grad_views[-1])
         dfeats = dlogits @ head.weights
-        grad_list = backbone.backward(fwd_cache, dfeats) + [d_head_w, d_head_b]
+        backbone.backward(fwd_cache, dfeats, out=grad_views[:-2])
         lr = sgd.learning_rate(step)
-        sgd_step(params, grad_list, velocity, step, sgd)
+        sgd_step([params], [grad], [velocity], step, sgd)
         rows.append(TrainRecord(step, lr, loss, 0.0, 0.0, loss, 0.0))
 
     echo = {

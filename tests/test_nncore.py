@@ -18,11 +18,13 @@ from morphdet.nncore import (
     ClassifierHead,
     Layer,
     MlpBackbone,
+    SGD_BLOCK,
     SgdConfig,
     binary_cross_entropy_with_logit,
     finite_diff_check,
     glorot_uniform,
     read_checkpoint,
+    pack_parameters,
     sgd_step,
     sigmoid,
     softmax_cross_entropy,
@@ -244,6 +246,69 @@ def test_sgd_step_shape_validation():
         sgd_step([np.zeros(2)], [np.zeros(2)], [], 0, cfg)
 
 
+def _reference_sgd_step(params, grads, velocity, lr, momentum):
+    """The per-array update the blocked sgd_step must reproduce bit for bit."""
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v -= lr * g
+        p += v
+
+
+@pytest.mark.parametrize("shape", [(5,), (SGD_BLOCK,), (3 * SGD_BLOCK,),
+                                   (2 * SGD_BLOCK + 123,), (3, 70, 150)])
+def test_blocked_sgd_matches_the_per_array_update(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    cfg = SgdConfig(momentum=0.9, lr_start=0.3, lr_end=0.01, total_steps=4)
+    p, v = rng.normal(size=shape), np.zeros(shape)
+    p_ref, v_ref = p.copy(), v.copy()
+    for step in range(cfg.total_steps):
+        g = rng.normal(size=shape)
+        g_before = g.copy()
+        sgd_step([p], [g], [v], step, cfg)
+        _reference_sgd_step([p_ref], [g], [v_ref], cfg.learning_rate(step), cfg.momentum)
+        assert np.array_equal(g, g_before)  # the gradient is left as it was
+        assert np.array_equal(p, p_ref) and np.array_equal(v, v_ref)
+
+
+def test_sgd_step_rejects_non_contiguous_arrays():
+    cfg = SgdConfig(total_steps=1)
+    strided = np.zeros((4, 6))[:, ::2]
+    flat = np.zeros((4, 3))
+    for args in ((strided, flat, flat), (flat, strided, flat), (flat, flat, strided),
+                 (flat.T, flat.T.copy(), flat.T.copy())):
+        with pytest.raises(ShapeError, match="contiguous"):
+            sgd_step([args[0]], [args[1]], [args[2]], 0, cfg)
+
+
+def test_pack_parameters_rebinds_every_array_to_a_view():
+    rng = np.random.default_rng(8)
+    backbone = MlpBackbone.build([5, 4, 3], rng)
+    head = ClassifierHead.build(2, 3, rng)
+    before = [p.copy() for p in backbone.parameters() + head.parameters()]
+    params, grad, grad_views = pack_parameters(backbone.layers + [head])
+    after = backbone.parameters() + head.parameters()
+    assert params.shape == grad.shape == (sum(p.size for p in before),)
+    assert np.array_equal(params, np.concatenate([p.reshape(-1) for p in before]))
+    assert not grad.any()
+    for p, old, g in zip(after, before, grad_views):
+        assert np.array_equal(p, old) and p.base is params
+        assert g.shape == p.shape and g.base is grad
+    params[0] = 42.0
+    assert backbone.layers[0].weights[0, 0] == 42.0
+
+
+def test_backward_writes_into_gradient_views():
+    rng = np.random.default_rng(9)
+    backbone = MlpBackbone.build([5, 6, 3], rng)
+    x = rng.normal(size=(4, 5))
+    dfeat = rng.normal(size=(4, 3))
+    _feats, cache = backbone.forward_cached(x)
+    fresh = backbone.backward(cache, dfeat)
+    _params, grad, grad_views = pack_parameters(backbone.layers)
+    assert backbone.backward(cache, dfeat, out=grad_views) is grad_views
+    assert np.array_equal(grad, np.concatenate([g.reshape(-1) for g in fresh]))
+
+
 def test_finite_diff_check_flags_a_wrong_gradient():
     def good(theta):
         return float(np.sum(theta**2)), 2.0 * theta
@@ -334,6 +399,14 @@ def test_checkpoint_rejects_corrupt_headers(tmp_path, header):
     path = tmp_path / "corrupt.mdck"
     path.write_bytes(_checkpoint_bytes(header, b"\x00" * 8))
     with pytest.raises(DataError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.mdck"
+    write_checkpoint(path, {}, [("w", np.zeros((2, 2)))])
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(DataError, match="7 trailing bytes"):
         read_checkpoint(path)
 
 

@@ -80,6 +80,14 @@ def test_non_integer_header_fields_rejected(tmp_path, header):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5 0 0 255\n", b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"])
+def test_zero_width_or_height_rejected(tmp_path, header):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(header + b"\x00" * 4)
+    with pytest.raises(DataError, match="empty"):
+        read_pgm(path)
+
+
 def test_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError):
         read_pgm(tmp_path / "absent.pgm")

@@ -105,6 +105,26 @@ def test_training_is_deterministic(tiny_corpus, tiny_training):
     assert report.records == again_report.records
 
 
+def _packed_into_one_vector(arrays):
+    """True when every array is a view of one 1-D vector holding exactly them."""
+    vector = arrays[0].base
+    return (vector is not None and vector.ndim == 1
+            and vector.size == sum(a.size for a in arrays)
+            and all(a.base is vector and np.shares_memory(a, vector) for a in arrays))
+
+
+def test_training_leaves_parameters_in_one_vector(tiny_training):
+    _, model, _ = tiny_training
+    assert _packed_into_one_vector(model.parameters())
+
+
+def test_identity_classifier_leaves_parameters_in_one_vector(tiny_corpus):
+    backbone, head, _ = train_identity_classifier(
+        tiny_corpus.root, tiny_corpus.bonafides, 6,
+        SgdConfig(epochs=1, batch_size=6), 0, **SMALL)
+    assert _packed_into_one_vector(backbone.parameters() + head.parameters())
+
+
 def test_bc_total_is_the_weighted_pair_loss_only(tiny_corpus):
     corpus = assemble_dataset(tiny_corpus.bonafides, tiny_corpus.selfmorphs,
                               tiny_corpus.morphs, 0)
@@ -192,6 +212,9 @@ def test_checkpoint_without_a_meta_key_or_array_is_a_data_error(tmp_path, tiny_t
                 loader(broken)
         write_checkpoint(broken, dict(meta, n_layers="two"), arrays.items())
         with pytest.raises(DataError, match="malformed"):
+            loader(broken)
+        write_checkpoint(broken, dict(meta, n_layers=0), arrays.items())
+        with pytest.raises(DataError, match="n_layers must be at least 1"):
             loader(broken)
         for name in arrays:
             write_checkpoint(broken, meta, [(k, v) for k, v in arrays.items() if k != name])
