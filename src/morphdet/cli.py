@@ -9,7 +9,7 @@ One binary, subcommands for each pipeline stage:
   train-fr      train the standalone identity classifier used for fusion
   eval          score a protocol and emit metrics, DET CSV and SVG
   compare       tabulate APCER operating points across score files
-  selftest      gradient checks and metric-oracle cross-checks
+  selftest      gradient checks of both models and metric-oracle cross-checks
 
 Configuration comes from built-in defaults, an optional `key = value` file
 (--config), and per-key flags, in that precedence order. Every command
@@ -130,9 +130,10 @@ def _write_config(cfg, directory, stage):
 
 
 def _read_dataset(data_dir):
-    rows = synthfaces.read_dataset_manifest(
-        os.path.join(data_dir, synthfaces.DATASET_MANIFEST)
-    )
+    path = os.path.join(data_dir, synthfaces.DATASET_MANIFEST)
+    rows = synthfaces.read_dataset_manifest(path)
+    if not rows:
+        raise DataError(f"{path}: empty dataset manifest")
     ids = sorted(set(identity for _rel, identity, _kind in rows))
     counts = {i: 0 for i in ids}
     for _rel, identity, _kind in rows:
@@ -343,6 +344,20 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gradient_error(units, loss_of):
+    """finite_diff_check over the packed parameters of units (at most 2000);
+    loss_of(grad_views) returns the loss and writes its gradients there."""
+    params, grad, grad_views = nncore.pack_parameters(units)
+    if params.size > 2000:
+        raise ConfigError(f"selftest model too large: {params.size} parameters")
+
+    def loss_and_grad(theta):
+        params[...] = theta
+        return loss_of(grad_views), grad.copy()
+
+    return nncore.finite_diff_check(loss_and_grad, params.copy())
+
+
 def selftest_gradients(variant: str, seed: int = 7):
     """Max relative error between analytic and central-difference gradients
     of the full fused loss on a small seeded dual model, computed by the same
@@ -355,9 +370,6 @@ def selftest_gradients(variant: str, seed: int = 7):
         input_dim=20, hidden_dims=(8,), feature_dim=6,
         num_classes=num_classes, variant=variant, seed=seed,
     )
-    params, grad, grad_views = nncore.pack_parameters(model.units())
-    if params.size > 2000:
-        raise ConfigError(f"selftest model too large: {params.size} parameters")
     x1 = rng.normal(size=(batch, 20))
     x2 = rng.normal(size=(batch, 20))
     kinds = [fusedloss.KIND_MORPH_LM if i % 2 else fusedloss.KIND_BONAFIDE
@@ -375,13 +387,21 @@ def selftest_gradients(variant: str, seed: int = 7):
     batch_arrays = (x1, x2, np.array(first_classes), np.array(second_classes),
                     np.array(t, dtype=np.float64))
     weights = fusedloss.LossWeights.for_variant(variant)
+    return _gradient_error(model.units(), lambda views: trainer.loss_and_grads(
+        model, batch_arrays, weights, views).total)
 
-    def loss_and_grad(theta):
-        params[...] = theta
-        breakdown = trainer.loss_and_grads(model, batch_arrays, weights, grad_views)
-        return breakdown.total, grad.copy()
 
-    return nncore.finite_diff_check(loss_and_grad, params.copy())
+def selftest_identity_gradients(seed: int = 7):
+    """Max relative error between analytic and central-difference gradients
+    of the identity classifier's loss on a small seeded model, computed by
+    the same trainer.identity_loss_and_grads that training runs."""
+    rng = derive_rng(seed, 999, len(fusedloss.VARIANTS))
+    backbone = nncore.MlpBackbone.build([20, 8, 6], rng)
+    head = nncore.ClassifierHead.build(3, 6, rng)
+    x = rng.normal(size=(6, 20))
+    labels = rng.integers(3, size=6)
+    return _gradient_error(backbone.layers + [head], lambda views: trainer.identity_loss_and_grads(
+        backbone, head, x, labels, views))
 
 
 def _oracle_rates(scores, is_attack, tau):
@@ -421,12 +441,12 @@ def selftest_metrics(instances: int = 20, seed: int = 11) -> int:
 
 def cmd_selftest(_args) -> int:
     worst = 0.0
-    for variant in fusedloss.VARIANTS:
-        err = selftest_gradients(variant)
+    errors = [(variant, selftest_gradients(variant)) for variant in fusedloss.VARIANTS]
+    for name, err in errors + [("identity", selftest_identity_gradients())]:
         worst = max(worst, err)
-        print(f"gradient check {variant}: max relative error {err:.3e}")
+        print(f"gradient check {name}: max relative error {err:.3e}")
         if err >= 1e-4:
-            raise NumericError(f"gradient check failed for {variant}: {err:.3e} >= 1e-4")
+            raise NumericError(f"gradient check failed for {name}: {err:.3e} >= 1e-4")
     n = selftest_metrics()
     print(f"metric oracle cross-check: {n} instances ok")
     print(f"selftest ok (worst gradient error {worst:.3e})")

@@ -99,11 +99,16 @@ def read_split_plan(path) -> SplitPlan:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"missing split plan {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: split plan is not UTF-8 text: {exc}") from exc
     for line in lines:
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in (SUBSET_FIRST, SUBSET_SECOND):
             raise DataError(f"{path}: malformed split line {line!r}")
-        (first if parts[1] == SUBSET_FIRST else second).append(int(parts[0]))
+        try:
+            (first if parts[1] == SUBSET_FIRST else second).append(int(parts[0]))
+        except ValueError as exc:
+            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
     return SplitPlan(tuple(sorted(first)), tuple(sorted(second)))
 
 

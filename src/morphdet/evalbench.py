@@ -121,6 +121,8 @@ def read_protocol(path):
             lines = [line.rstrip("\n") for line in fh]
     except OSError as exc:
         raise DataError(f"missing protocol {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: protocol is not UTF-8 text: {exc}") from exc
     entries = []
     seen = set()
     for line in lines:
@@ -197,6 +199,8 @@ def read_scores(path):
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"missing scores file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: scores file is not UTF-8 text: {exc}") from exc
     scores = []
     for line in lines:
         parts = line.split("\t")

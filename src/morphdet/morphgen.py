@@ -450,6 +450,8 @@ def read_morph_manifest(path):
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"missing morph manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: morph manifest is not UTF-8 text: {exc}") from exc
     rows = []
     for line in lines:
         parts = line.split("\t")
@@ -458,5 +460,8 @@ def read_morph_manifest(path):
         kind = parts[3]
         if kind not in FAMILY_OF_KIND:
             raise DataError(f"{path}: unknown morph kind {kind!r}")
-        rows.append((parts[0], int(parts[1]), int(parts[2]), kind))
+        try:
+            rows.append((parts[0], int(parts[1]), int(parts[2]), kind))
+        except ValueError as exc:
+            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
     return rows

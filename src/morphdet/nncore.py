@@ -408,7 +408,7 @@ def read_checkpoint(path):
     hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
             and isinstance(header.get("arrays"), list)):
@@ -419,11 +419,11 @@ def read_checkpoint(path):
         try:
             name = str(entry["name"])
             shape = tuple(int(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: malformed array entry {entry!r}") from exc
         if any(d < 0 for d in shape):
             raise DataError(f"{path}: negative dimension in array {name}")
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a huge shape must not wrap to a small count
         blob = raw[offset : offset + 8 * count]
         if len(blob) != 8 * count:
             raise DataError(f"{path}: truncated array {name}")

@@ -38,7 +38,10 @@ def read_pgm(path) -> np.ndarray:
         raise DataError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     if not all(t.isdigit() for t in tokens[1:4]):
         raise DataError(f"{path}: non-integer PGM header fields {tokens[1:4]!r}")
-    w, h, maxval = (int(t) for t in tokens[1:4])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:4])
+    except ValueError as exc:  # int() refuses more than 4300 digits
+        raise DataError(f"{path}: PGM header field too long") from exc
     if w == 0 or h == 0:
         raise DataError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
@@ -88,9 +91,14 @@ def read_landmarks(path) -> np.ndarray:
             rows = [line.split() for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"cannot read landmarks {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: landmark sidecar is not ASCII text: {exc}") from exc
     if not rows or any(len(r) != 2 for r in rows):
         raise DataError(f"{path}: malformed landmark sidecar")
-    return np.array([[float(x), float(y)] for x, y in rows], dtype=np.float64)
+    try:
+        return np.array([[float(x), float(y)] for x, y in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric landmark coordinate: {exc}") from exc
 
 
 def landmark_path(image_path) -> str:

@@ -331,10 +331,15 @@ def read_dataset_manifest(path):
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise DataError(f"missing dataset manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: dataset manifest is not UTF-8 text: {exc}") from exc
     rows = []
     for line in lines:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}: malformed manifest line {line!r}")
-        rows.append((parts[0], int(parts[1]), parts[2]))
+        try:
+            rows.append((parts[0], int(parts[1]), parts[2]))
+        except ValueError as exc:
+            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
     return rows

@@ -3,15 +3,17 @@
 Two independent backbones plus classifier heads (no parameter sharing) are
 trained jointly with the fused pair objective: the First network consumes
 suspect images, the Second network consumes trusted bona fide images sampled
-per the first-identity rule. The same machinery also trains the standalone
-identity classifier used as a face-recognition analog for score fusion.
+per the first-identity rule. The standalone identity classifier used as a
+face-recognition analog for score fusion is trained by the same loop.
 
-Before the first step a model's parameters are packed into one vector
-(nncore.pack_parameters); backward passes write into the matching gradient
-vector, and all parameters update every step through one SGD-with-momentum
-call over the two vectors. The learning rate decays linearly across the full
-planned step count. Reports are per-step CSV rows
-`step,lr,l1,l2,l3,total,t_ratio`.
+That loop (_fit) packs a model's parameters into one vector
+(nncore.pack_parameters) and runs epochs * floor(records / batch) steps. Each
+step calls the model's objective, which writes the gradient views:
+loss_and_grads for the dual model, identity_loss_and_grads for the identity
+classifier. Then one SGD-with-momentum call updates the whole vector. The
+learning rate decays linearly across the planned step count. Reports are
+per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`. Both models are saved and
+loaded through one checkpoint writer and one reader, keyed by model kind.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ from .datamine import (
     sample_batch,
     validate_corpus,
 )
-from .errors import ConfigError, CoverageError, DataError, NumericError, ShapeError
+from .errors import ConfigError, CoverageError, DataError, NumericError
 from .fusedloss import (
     KIND_BONAFIDE,
     LossWeights,
@@ -40,6 +42,7 @@ from .fusedloss import (
 )
 from .nncore import (
     ClassifierHead,
+    Layer,
     MlpBackbone,
     SgdConfig,
     pack_parameters,
@@ -65,15 +68,10 @@ class DualModel:
     num_classes: int  # base identity class count C (heads hold C or 2C rows)
 
     def parameters(self):
-        return (
-            self.first_backbone.parameters()
-            + self.first_head.parameters()
-            + self.second_backbone.parameters()
-            + self.second_head.parameters()
-        )
+        return [array for unit in self.units() for array in (unit.weights, unit.biases)]
 
     def units(self):
-        """Layers and heads in parameters() order, for pack_parameters."""
+        """Layers and heads in parameter order, for pack_parameters."""
         return (self.first_backbone.layers + [self.first_head]
                 + self.second_backbone.layers + [self.second_head])
 
@@ -199,6 +197,53 @@ def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_vi
     return breakdown
 
 
+def identity_loss_and_grads(backbone: MlpBackbone, head: ClassifierHead, x, labels,
+                            grad_views) -> float:
+    """Mean softmax cross-entropy of one identity-classifier batch of
+    pixel_features rows x; writes its gradients into grad_views, those of
+    pack_parameters(backbone.layers + [head]), when the loss is finite.
+    Returns the loss.
+    """
+    feats, fwd_cache = backbone.forward_cached(x)
+    losses, dlogits = softmax_cross_entropy_batch(head.logits(feats), labels)
+    loss = float(np.mean(losses))
+    if np.isfinite(loss):
+        dlogits = dlogits / len(labels)
+        np.matmul(dlogits.T, feats, out=grad_views[-2])
+        np.sum(dlogits, axis=0, out=grad_views[-1])
+        backbone.backward(fwd_cache, dlogits @ head.weights, out=grad_views[:-2])
+    return loss
+
+
+def _schedule(sgd: SgdConfig, n_records: int, what: str) -> SgdConfig:
+    """sgd planned for epochs * floor(n_records / batch_size) steps."""
+    steps_per_epoch = n_records // sgd.batch_size
+    if steps_per_epoch < 1:
+        raise ConfigError(f"{what} of {n_records} records is smaller than one batch "
+                          f"of {sgd.batch_size}")
+    return dataclasses.replace(sgd, total_steps=sgd.epochs * steps_per_epoch)
+
+
+def _fit(units, sgd: SgdConfig, objective, seed: int, variant: str, **echo) -> TrainReport:
+    """The SGD loop both models train with, over sgd from _schedule.
+
+    units are the model's layers and heads in parameter order.
+    objective(step, grad_views) writes one batch's gradients into grad_views
+    and returns its (l1, l2, l3, total, t_ratio), or raises NumericError.
+    """
+    params, grad, grad_views = pack_parameters(units)
+    velocity = np.zeros_like(params)
+    records = []
+    for step in range(sgd.total_steps):
+        losses = objective(step, grad_views)
+        lr = sgd.learning_rate(step)
+        sgd_step([params], [grad], [velocity], step, sgd)
+        records.append(TrainRecord(step, lr, *losses))
+    echo.update(momentum=sgd.momentum, lr_start=sgd.lr_start, lr_end=sgd.lr_end,
+                batch_size=sgd.batch_size, epochs=sgd.epochs, total_steps=sgd.total_steps)
+    return TrainReport(records, seed, variant, echo)
+
+
 def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
           sgd: SgdConfig, variant: str, seed: int,
           hidden_dims=DEFAULT_HIDDEN_DIMS, feature_dim: int = DEFAULT_FEATURE_DIM,
@@ -212,24 +257,13 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
     check_variant(variant)
     validate_corpus(corpus, plan)
     pools = bonafide_pools(trusted_records)
-    steps_per_epoch = len(corpus) // sgd.batch_size
-    if steps_per_epoch < 1:
-        raise ConfigError(
-            f"corpus of {len(corpus)} records is smaller than one batch of {sgd.batch_size}"
-        )
-    total_steps = sgd.epochs * steps_per_epoch
-    sgd = dataclasses.replace(sgd, total_steps=total_steps)
-
+    sgd = _schedule(sgd, len(corpus), "corpus")
     cache = ImageCache(root)
-    probe = cache.flat(corpus[0].relpath)
-    model = build_dual_model(probe.size, hidden_dims, feature_dim,
+    model = build_dual_model(cache.flat(corpus[0].relpath).size, hidden_dims, feature_dim,
                              num_classes, variant, seed)
     weights = LossWeights.for_variant(variant, pair_weight)
-    params, grad, grad_views = pack_parameters(model.units())
-    velocity = np.zeros_like(params)
 
-    records = []
-    for step in range(total_steps):
+    def objective(step, grad_views):
         batch = sample_batch(corpus, pools, sgd.batch_size, seed, step)
         batch_arrays = _batch_arrays(batch, cache, variant, num_classes)
         breakdown = loss_and_grads(model, batch_arrays, weights, grad_views)
@@ -239,19 +273,12 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
                 f"training diverged at step {step} "
                 f"(batch head: {batch[0].first.relpath} kinds: {kinds})"
             )
-        lr = sgd.learning_rate(step)
-        sgd_step([params], [grad], [velocity], step, sgd)
-        records.append(TrainRecord(step, lr, breakdown.l1, breakdown.l2,
-                                   breakdown.l3, breakdown.total, breakdown.t_ratio))
+        return breakdown.l1, breakdown.l2, breakdown.l3, breakdown.total, breakdown.t_ratio
 
-    echo = {
-        "momentum": sgd.momentum, "lr_start": sgd.lr_start, "lr_end": sgd.lr_end,
-        "batch_size": sgd.batch_size, "epochs": sgd.epochs,
-        "total_steps": total_steps, "hidden_dims": list(hidden_dims),
-        "feature_dim": feature_dim, "num_classes": num_classes,
-        "pair_weight": pair_weight,
-    }
-    return model, TrainReport(records, seed, variant, echo)
+    report = _fit(model.units(), sgd, objective, seed, variant,
+                  hidden_dims=list(hidden_dims), feature_dim=feature_dim,
+                  num_classes=num_classes, pair_weight=pair_weight)
+    return model, report
 
 
 def extract_features(model: DualModel, image, which: str) -> np.ndarray:
@@ -262,12 +289,7 @@ def extract_features(model: DualModel, image, which: str) -> np.ndarray:
         backbone = model.second_backbone
     else:
         raise ConfigError(f"which must be 'first' or 'second', got {which!r}")
-    flat = np.asarray(image, dtype=np.float64).reshape(-1)
-    if flat.size != backbone.input_dim:
-        raise ShapeError(
-            f"image with {flat.size} pixels does not fit input dim {backbone.input_dim}"
-        )
-    return backbone.forward(pixel_features(flat))
+    return backbone.forward(pixel_features(np.asarray(image, dtype=np.float64).reshape(-1)))
 
 
 def score_pair(model: DualModel, suspect_image, trusted_image) -> float:
@@ -335,30 +357,15 @@ def morph_separation_stat(model: DualModel, records, cache: ImageCache) -> Separ
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint wrappers
+# Checkpoints
 # ---------------------------------------------------------------------------
 
 
-def _backbone_arrays(prefix: str, backbone: MlpBackbone):
-    out = []
-    for k, layer in enumerate(backbone.layers):
-        out.append((f"{prefix}.layer{k}.weights", layer.weights))
-        out.append((f"{prefix}.layer{k}.biases", layer.biases))
-    return out
-
-
-def _backbone_from_arrays(prefix: str, arrays: dict, n_layers: int) -> MlpBackbone:
-    from .nncore import Layer
-
-    if n_layers < 1:  # raised inside _checkpoint_fields, which makes it a DataError
-        raise ValueError(f"n_layers must be at least 1, got {n_layers}")
-    layers = []
-    for k in range(n_layers):
-        weights = arrays[f"{prefix}.layer{k}.weights"]
-        biases = arrays[f"{prefix}.layer{k}.biases"]
-        act = "linear" if k == n_layers - 1 else "relu"
-        layers.append(Layer(weights, biases, act))
-    return MlpBackbone(layers)
+# Array-name prefixes of each network, backbone then head, per checkpoint kind.
+_NETWORK_PREFIXES = {
+    "dual": (("first", "first.head"), ("second", "second.head")),
+    "identity": (("backbone", "head"),),
+}
 
 
 @contextlib.contextmanager
@@ -368,50 +375,61 @@ def _checkpoint_fields(path):
         yield
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint field: {exc}") from exc
 
 
-def save_model(path, model: DualModel, seed: int, extra_meta: dict = None) -> None:
-    meta = {
-        "kind": "dual",
-        "variant": model.variant,
-        "num_classes": model.num_classes,
-        "head_classes": model.first_head.num_classes,
-        "n_layers": len(model.first_backbone.layers),
-        "seed": seed,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    arrays = (
-        _backbone_arrays("first", model.first_backbone)
-        + [("first.head.weights", model.first_head.weights),
-           ("first.head.biases", model.first_head.biases)]
-        + _backbone_arrays("second", model.second_backbone)
-        + [("second.head.weights", model.second_head.weights),
-           ("second.head.biases", model.second_head.biases)]
-    )
+def _save_networks(path, kind: str, networks, meta: dict, extra_meta) -> None:
+    """Write (backbone, head) networks under the prefixes of kind; extra_meta
+    entries override meta ones."""
+    meta = {"kind": kind, "n_layers": len(networks[0][0].layers), **meta, **(extra_meta or {})}
+    arrays = []
+    for (prefix, head_prefix), (backbone, head) in zip(_NETWORK_PREFIXES[kind], networks):
+        for k, layer in enumerate(backbone.layers):
+            arrays.append((f"{prefix}.layer{k}.weights", layer.weights))
+            arrays.append((f"{prefix}.layer{k}.biases", layer.biases))
+        arrays.append((f"{head_prefix}.weights", head.weights))
+        arrays.append((f"{head_prefix}.biases", head.biases))
     write_checkpoint(path, meta, arrays)
+
+
+def _load_networks(path, kind: str):
+    """Returns ([(backbone, head), ...] in prefix order, meta) of a kind checkpoint."""
+    meta, arrays = read_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: checkpoint kind is {meta.get('kind')!r}, not {kind!r}")
+    networks = []
+    with _checkpoint_fields(path):
+        n_layers = int(meta["n_layers"])
+        if n_layers < 1:
+            raise ValueError(f"n_layers must be at least 1, got {n_layers}")
+        for prefix, head_prefix in _NETWORK_PREFIXES[kind]:
+            backbone = MlpBackbone([
+                Layer(arrays[f"{prefix}.layer{k}.weights"], arrays[f"{prefix}.layer{k}.biases"],
+                      "linear" if k == n_layers - 1 else "relu")
+                for k in range(n_layers)
+            ])
+            head = ClassifierHead(arrays[head_prefix + ".weights"], arrays[head_prefix + ".biases"])
+            if head.feature_dim != backbone.feature_dim:
+                raise DataError(f"{path}: {head_prefix} takes {head.feature_dim} features, "
+                                f"{prefix} gives {backbone.feature_dim}")
+            networks.append((backbone, head))
+    return networks, meta
+
+
+def save_model(path, model: DualModel, seed: int, extra_meta: dict = None) -> None:
+    meta = {"variant": model.variant, "num_classes": model.num_classes,
+            "head_classes": model.first_head.num_classes, "seed": seed}
+    _save_networks(path, "dual", [(model.first_backbone, model.first_head),
+                                  (model.second_backbone, model.second_head)], meta, extra_meta)
 
 
 def load_model(path):
     """Returns (DualModel, meta) for a checkpoint written by save_model."""
-    meta, arrays = read_checkpoint(path)
-    if meta.get("kind") != "dual":
-        raise DataError(f"{path}: not a dual-model checkpoint")
+    ((first, first_head), (second, second_head)), meta = _load_networks(path, "dual")
     with _checkpoint_fields(path):
-        n_layers = int(meta["n_layers"])
-        model = DualModel(
-            first_backbone=_backbone_from_arrays("first", arrays, n_layers),
-            second_backbone=_backbone_from_arrays("second", arrays, n_layers),
-            first_head=ClassifierHead(arrays["first.head.weights"],
-                                      arrays["first.head.biases"]),
-            second_head=ClassifierHead(arrays["second.head.weights"],
-                                       arrays["second.head.biases"]),
-            variant=str(meta["variant"]),
-            num_classes=int(meta["num_classes"]),
-        )
-    return model, meta
+        return DualModel(first, second, first_head, second_head,
+                         str(meta["variant"]), int(meta["num_classes"])), meta
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +449,7 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
     records = [r for r in bonafide_records if r.kind == KIND_BONAFIDE]
     if not records:
         raise ConfigError("identity classifier needs original bona fide records")
-    steps_per_epoch = len(records) // sgd.batch_size
-    if steps_per_epoch < 1:
-        raise ConfigError("fewer bona fide records than one batch")
-    total_steps = sgd.epochs * steps_per_epoch
-    sgd = dataclasses.replace(sgd, total_steps=total_steps)
-
+    sgd = _schedule(sgd, len(records), "bona fide set")
     cache = ImageCache(root)
     probe = cache.flat(records[0].relpath)
     backbone = MlpBackbone.build(
@@ -444,65 +457,32 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
         derive_rng(seed, INIT_STREAM, 10),
     )
     head = ClassifierHead.build(num_classes, feature_dim, derive_rng(seed, INIT_STREAM, 11))
-    params, grad, grad_views = pack_parameters(backbone.layers + [head])
-    velocity = np.zeros_like(params)
 
-    rows = []
-    for step in range(total_steps):
+    def objective(step, grad_views):
         rng = derive_rng(seed, FR_BATCH_STREAM, step)
-        picks = rng.integers(len(records), size=sgd.batch_size)
-        batch = [records[int(i)] for i in picks]
+        batch = [records[int(i)] for i in rng.integers(len(records), size=sgd.batch_size)]
         x = pixel_features(np.stack([cache.flat(r.relpath) for r in batch]))
         labels = np.array([r.labels.y1 for r in batch], dtype=np.int64)
-        feats, fwd_cache = backbone.forward_cached(x)
-        logits = head.logits(feats)
-        losses, dlogits = softmax_cross_entropy_batch(logits, labels)
-        loss = float(np.mean(losses))
+        loss = identity_loss_and_grads(backbone, head, x, labels, grad_views)
         if not np.isfinite(loss):
             raise NumericError(f"identity classifier diverged at step {step}")
-        dlogits = dlogits / len(batch)
-        np.matmul(dlogits.T, feats, out=grad_views[-2])
-        np.sum(dlogits, axis=0, out=grad_views[-1])
-        dfeats = dlogits @ head.weights
-        backbone.backward(fwd_cache, dfeats, out=grad_views[:-2])
-        lr = sgd.learning_rate(step)
-        sgd_step([params], [grad], [velocity], step, sgd)
-        rows.append(TrainRecord(step, lr, loss, 0.0, 0.0, loss, 0.0))
+        return loss, 0.0, 0.0, loss, 0.0
 
-    echo = {
-        "momentum": sgd.momentum, "lr_start": sgd.lr_start, "lr_end": sgd.lr_end,
-        "batch_size": sgd.batch_size, "epochs": sgd.epochs,
-        "total_steps": total_steps, "hidden_dims": list(hidden_dims),
-        "feature_dim": feature_dim, "num_classes": num_classes,
-    }
-    return backbone, head, TrainReport(rows, seed, "identity", echo)
+    report = _fit(backbone.layers + [head], sgd, objective, seed, "identity",
+                  hidden_dims=list(hidden_dims), feature_dim=feature_dim,
+                  num_classes=num_classes)
+    return backbone, head, report
 
 
 def save_identity_model(path, backbone: MlpBackbone, head: ClassifierHead,
                         seed: int, extra_meta: dict = None) -> None:
-    meta = {
-        "kind": "identity",
-        "num_classes": head.num_classes,
-        "n_layers": len(backbone.layers),
-        "seed": seed,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    arrays = _backbone_arrays("backbone", backbone) + [
-        ("head.weights", head.weights),
-        ("head.biases", head.biases),
-    ]
-    write_checkpoint(path, meta, arrays)
+    meta = {"num_classes": head.num_classes, "seed": seed}
+    _save_networks(path, "identity", [(backbone, head)], meta, extra_meta)
 
 
 def load_identity_model(path):
     """Returns (backbone, head, meta) for an identity-classifier checkpoint."""
-    meta, arrays = read_checkpoint(path)
-    if meta.get("kind") != "identity":
-        raise DataError(f"{path}: not an identity-classifier checkpoint")
-    with _checkpoint_fields(path):
-        backbone = _backbone_from_arrays("backbone", arrays, int(meta["n_layers"]))
-        head = ClassifierHead(arrays["head.weights"], arrays["head.biases"])
+    ((backbone, head),), meta = _load_networks(path, "identity")
     return backbone, head, meta
 
 

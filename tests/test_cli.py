@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from morphdet.cli import main
+from morphdet.cli import main, selftest_identity_gradients
 
 SIZE_FLAGS = ["--image-size", "16"]
 DATA_FLAGS = ["--n-identities", "6", "--images-per-identity", "3"] + SIZE_FLAGS
@@ -205,7 +205,48 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert "selftest ok" in out
     assert "gradient check" in out
+    assert "gradient check identity" in out
     assert "metric oracle" in out
+
+
+def test_identity_gradient_check_passes():
+    assert selftest_identity_gradients() < 1e-4
+
+
+_MANIFEST = "images/a.pgm\t0\tbonafide\nimages/b.pgm\t1\tbonafide\n"
+_PROTOCOL = "p1\timages/a.pgm\timages/b.pgm\tbonafide\n"
+_LANDMARKS = "data/images/id0000_v000.pgm.lms"
+_IN_DATA = ["--data-dir", "{tmp}/data"]
+_COMPARE = ["compare", "--out-dir", "{tmp}/out", "--protocol"]
+
+
+@pytest.mark.parametrize("files, argv, code", [
+    ({"data/manifest.tsv": "images/a.pgm\tx\tbonafide\n"}, ["gen-morphs"] + _IN_DATA, 2),
+    ({"data/manifest.tsv": b"images/a.pgm\t0\t\xff\n"}, ["gen-morphs"] + _IN_DATA, 2),
+    ({"data/manifest.tsv": ""}, ["gen-morphs"] + _IN_DATA, 2),
+    ({"data/manifest.tsv": _MANIFEST, "data/morphs.tsv": "m.pgm\tx\t1\tmorph-lm\n"},
+     ["gen-protocol"] + _IN_DATA, 2),
+    ({"data/manifest.tsv": _MANIFEST, "data/morphs.tsv": "", "data/split.tsv": "x\tfirst\n"},
+     ["train", "--out-dir", "{tmp}/out"] + _IN_DATA, 2),
+    ({"bad.tsv": b"p1\ta\tb\tbonafide\xff\n"}, _COMPARE + ["{tmp}/bad.tsv", "a={tmp}/bad.tsv"], 2),
+    ({"protocol.tsv": _PROTOCOL, "bad.tsv": b"p1\t0.5\xff\n"},
+     _COMPARE + ["{tmp}/protocol.tsv", "a={tmp}/bad.tsv"], 2),
+    ({_LANDMARKS: "1.0 one\n"}, ["gen-morphs"] + _IN_DATA, 2),
+    ({_LANDMARKS: b"1.0 \xe9\n"}, ["gen-morphs"] + _IN_DATA, 2),
+    ({"bad.config": b"seed = 1\xff\n"}, ["gen-data", "--config", "{tmp}/bad.config"], 1),
+], ids=["manifest-identity", "manifest-bytes", "manifest-empty", "morph-manifest-id",
+        "split-id", "protocol-bytes", "scores-bytes", "landmark-field", "landmark-bytes",
+        "config-bytes"])
+def test_malformed_inputs_exit_with_their_code(tmp_path, capsys, files, argv, code):
+    if _LANDMARKS in files:  # spoil a sidecar of a real dataset
+        assert run(["gen-data", "--data-dir", tmp_path / "data", "--seed", 3] + DATA_FLAGS) == 0
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
+    capsys.readouterr()
+    assert run([a.format(tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_eval_surfaces_exclusions(pipeline, tmp_path, capsys):

@@ -394,6 +394,10 @@ def _checkpoint_bytes(header: bytes, payload: bytes = b"") -> bytes:
     b'{"meta": {}, "arrays": [{"name": "w"}]}',  # entry without a shape
     b'{"meta": {}, "arrays": [{"name": "w", "shape": ["a"]}]}',
     b'{"meta": {}, "arrays": [{"name": "w", "shape": [-1, -1]}]}',
+    # 2**64 elements: counted in int64 the product wraps to 0
+    b'{"meta": {}, "arrays": [{"name": "w", "shape": [4294967296, 4294967296]}]}',
+    b'{"meta": {}, "arrays": [{"name": "w", "shape": [1e400]}]}',  # int(inf)
+    b"[" * 100000,  # nesting deeper than the JSON decoder recurses
 ])
 def test_checkpoint_rejects_corrupt_headers(tmp_path, header):
     path = tmp_path / "corrupt.mdck"

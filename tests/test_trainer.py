@@ -222,6 +222,25 @@ def test_checkpoint_without_a_meta_key_or_array_is_a_data_error(tmp_path, tiny_t
                 loader(broken)
 
 
+def test_checkpoint_head_must_fit_its_backbone(tmp_path, tiny_training):
+    from morphdet.nncore import read_checkpoint, write_checkpoint
+
+    _, model, _ = tiny_training
+    dual = tmp_path / "dual.mdck"
+    save_model(dual, model, seed=0)
+    ident = tmp_path / "ident.mdck"
+    save_identity_model(ident, model.first_backbone, model.first_head, seed=0)
+    broken = tmp_path / "broken.mdck"
+    for loader, path, head in ((load_model, dual, "first.head"), (load_model, dual, "second.head"),
+                               (load_identity_model, ident, "head")):
+        meta, arrays = read_checkpoint(path)
+        classes, features = arrays[f"{head}.weights"].shape
+        arrays[f"{head}.weights"] = np.zeros((classes, features + 1))
+        write_checkpoint(broken, meta, arrays.items())
+        with pytest.raises(DataError, match=f"{head} takes {features + 1} features"):
+            loader(broken)
+
+
 def test_extract_features_validation(tiny_training):
     _, model, _ = tiny_training
     image = np.zeros(256)
@@ -306,6 +325,9 @@ def test_identity_classifier_needs_bona_fides(tiny_corpus):
     with pytest.raises(ConfigError):
         train_identity_classifier(tiny_corpus.root, tiny_corpus.morphs, 6,
                                   SgdConfig(epochs=1, batch_size=4), 0, **SMALL)
+    with pytest.raises(ConfigError, match="smaller than one batch"):
+        train_identity_classifier(tiny_corpus.root, tiny_corpus.bonafides, 6,
+                                  SgdConfig(epochs=1, batch_size=1000), 0, **SMALL)
 
 
 def test_identity_similarity_bounds(tiny_corpus):
