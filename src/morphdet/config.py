@@ -8,6 +8,7 @@ artifact can be regenerated from one file and one seed.
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .pgm import write_file
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -149,6 +150,4 @@ def format_value(value) -> str:
 
 
 def write_resolved_config(path, config) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(config):
-            fh.write(f"{name} = {format_value(config[name])}\n")
+    write_file(path, (f"{name} = {format_value(config[name])}\n" for name in sorted(config)))

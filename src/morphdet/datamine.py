@@ -22,6 +22,7 @@ from .fusedloss import (
     is_morph_kind,
 )
 from .morphgen import MORPH_FAMILIES
+from .pgm import read_table, write_file
 from .seeding import (
     BALANCE_STREAM,
     BATCH_STREAM,
@@ -85,31 +86,29 @@ def split_identities(ids, seed: int) -> SplitPlan:
 
 
 def write_split_plan(path, plan: SplitPlan) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for identity in plan.first_subset:
-            fh.write(f"{identity}\t{SUBSET_FIRST}\n")
-        for identity in plan.second_subset:
-            fh.write(f"{identity}\t{SUBSET_SECOND}\n")
+    write_file(path, [f"{identity}\t{SUBSET_FIRST}\n" for identity in plan.first_subset]
+               + [f"{identity}\t{SUBSET_SECOND}\n" for identity in plan.second_subset])
 
 
 def read_split_plan(path) -> SplitPlan:
-    first, second = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"missing split plan {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: split plan is not UTF-8 text: {exc}") from exc
-    for line in lines:
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1] not in (SUBSET_FIRST, SUBSET_SECOND):
-            raise DataError(f"{path}: malformed split line {line!r}")
+    subsets = {SUBSET_FIRST: [], SUBSET_SECOND: []}
+    seen = set()
+    for identity, subset in read_table(path, "split plan", 2):
+        if subset not in subsets:
+            raise DataError(f"{path}: unknown subset {subset!r}")
         try:
-            (first if parts[1] == SUBSET_FIRST else second).append(int(parts[0]))
+            identity = int(identity)
         except ValueError as exc:
-            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
-    return SplitPlan(tuple(sorted(first)), tuple(sorted(second)))
+            raise DataError(f"{path}: non-integer identity {identity!r}") from exc
+        if identity in seen:
+            raise DataError(f"{path}: duplicate identity {identity}")
+        seen.add(identity)
+        subsets[subset].append(identity)
+    first, second = (tuple(sorted(subsets[name])) for name in (SUBSET_FIRST, SUBSET_SECOND))
+    try:
+        return SplitPlan(first, second)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def plan_morph_pairs(plan: SplitPlan, count: int, seed: int):

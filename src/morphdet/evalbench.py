@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fusedloss import FAMILY_OF_KIND, detection_score, is_morph_kind
 from .morphgen import MORPH_FAMILIES
-from .pgm import read_pgm
+from .pgm import read_lines, read_table, write_file
 from .seeding import PROTOCOL_STREAM, derive_rng
 from .trainer import DualModel, ImageCache, extract_features, identity_similarity
 
@@ -109,24 +109,15 @@ def generate_protocol(dataset_rows, morph_rows, family: str, seed: int,
 
 
 def write_protocol(path, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# pair_id\tpath_a\tpath_b\tground_truth\n")
-        for e in entries:
-            fh.write(f"{e.pair_id}\t{e.path_a}\t{e.path_b}\t{e.ground_truth}\n")
+    write_file(path, ["# pair_id\tpath_a\tpath_b\tground_truth\n"] + [
+        f"{e.pair_id}\t{e.path_a}\t{e.path_b}\t{e.ground_truth}\n" for e in entries])
 
 
 def read_protocol(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise DataError(f"missing protocol {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: protocol is not UTF-8 text: {exc}") from exc
     entries = []
     seen = set()
-    for line in lines:
-        if not line.strip() or line.startswith("#"):
+    for line in read_lines(path, "protocol"):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 4:
@@ -188,28 +179,16 @@ def fr_similarities(backbone, entries, root, cache: ImageCache = None):
 
 
 def write_scores(path, scores) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair_id, score in scores:
-            fh.write(f"{pair_id}\t{score:.9g}\n")
+    write_file(path, (f"{pair_id}\t{score:.9g}\n" for pair_id, score in scores))
 
 
 def read_scores(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"missing scores file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: scores file is not UTF-8 text: {exc}") from exc
     scores = []
-    for line in lines:
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed score line {line!r}")
+    for pair_id, score in read_table(path, "scores file", 2):
         try:
-            scores.append((parts[0], float(parts[1])))
+            scores.append((pair_id, float(score)))
         except ValueError as exc:
-            raise DataError(f"{path}: non-numeric score in line {line!r}") from exc
+            raise DataError(f"{path}: non-numeric score {score!r} for {pair_id!r}") from exc
     return scores
 
 
@@ -359,10 +338,8 @@ def compare_runs(named_scores, entries, deltas=DEFAULT_DELTAS):
 
 
 def write_comparison_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,delta,apcer,threshold\n")
-        for method, delta, apcer, tau in rows:
-            fh.write(f"{method},{delta:.9g},{apcer:.9g},{tau:.9g}\n")
+    write_file(path, ["method,delta,apcer,threshold\n"] + [
+        f"{method},{delta:.9g},{apcer:.9g},{tau:.9g}\n" for method, delta, apcer, tau in rows])
 
 
 def format_comparison_table(rows, protocol_name: str = "protocol") -> str:
@@ -398,10 +375,8 @@ def format_comparison_table(rows, protocol_name: str = "protocol") -> str:
 
 
 def write_det_csv(path, curve: DetCurve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,apcer,bpcer\n")
-        for threshold, apcer, bpcer in curve.rows:
-            fh.write(f"{threshold:.9g},{apcer:.9g},{bpcer:.9g}\n")
+    write_file(path, ["threshold,apcer,bpcer\n"] + [
+        f"{threshold:.9g},{apcer:.9g},{bpcer:.9g}\n" for threshold, apcer, bpcer in curve.rows])
 
 
 def det_svg(curve: DetCurve, title: str = "DET") -> str:
@@ -462,5 +437,4 @@ def det_svg(curve: DetCurve, title: str = "DET") -> str:
 
 
 def write_det_svg(path, curve: DetCurve, title: str = "DET") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(det_svg(curve, title))
+    write_file(path, [det_svg(curve, title)])

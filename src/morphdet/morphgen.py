@@ -35,7 +35,9 @@ from .fusedloss import (
     LANDMARK_FAMILY,
     LATENT_FAMILY,
 )
-from .pgm import landmark_path, read_landmarks, read_pgm, write_landmarks, write_pgm
+from .pgm import (
+    landmark_path, read_landmarks, read_pgm, read_table, write_file, write_landmarks, write_pgm,
+)
 from .seeding import MORPH_JOB_STREAM, derive_rng
 from .synthfaces import FaceImage, IdentityModel, SynthConfig, latent_interpolate
 
@@ -366,12 +368,7 @@ def _load_face(root, identity_id, variation) -> FaceImage:
     from .synthfaces import image_relpath
 
     path = os.path.join(root, image_relpath(identity_id, variation))
-    try:
-        pixels = read_pgm(path)
-        landmarks = read_landmarks(landmark_path(path))
-    except OSError as exc:
-        raise DataError(f"missing source image {path}: {exc}") from exc
-    return FaceImage(pixels, landmarks, identity_id)
+    return FaceImage(read_pgm(path), read_landmarks(landmark_path(path)), identity_id)
 
 
 def generate_morph_corpus(root, seed: int, identities, cross_pairs,
@@ -438,30 +435,19 @@ def generate_morph_corpus(root, seed: int, identities, cross_pairs,
 
 
 def write_morph_manifest(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rel, id_first, id_second, kind in rows:
-            fh.write(f"{rel}\t{id_first}\t{id_second}\t{kind}\n")
+    write_file(path, (f"{rel}\t{id_first}\t{id_second}\t{kind}\n"
+                      for rel, id_first, id_second, kind in rows))
 
 
 def read_morph_manifest(path):
     """Rows of (relative_path, id_first, id_second, kind)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"missing morph manifest {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: morph manifest is not UTF-8 text: {exc}") from exc
     rows = []
-    for line in lines:
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}: malformed morph manifest line {line!r}")
-        kind = parts[3]
+    for rel, id_first, id_second, kind in read_table(path, "morph manifest", 4):
         if kind not in FAMILY_OF_KIND:
             raise DataError(f"{path}: unknown morph kind {kind!r}")
         try:
-            rows.append((parts[0], int(parts[1]), int(parts[2]), kind))
+            rows.append((rel, int(id_first), int(id_second), kind))
         except ValueError as exc:
-            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
+            raise DataError(f"{path}: non-integer identity pair "
+                            f"{id_first!r}, {id_second!r}") from exc
     return rows

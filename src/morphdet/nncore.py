@@ -15,6 +15,7 @@ of the same layout whose views backward() writes into. sgd_step() then runs
 over whole vectors, block by block, without allocating per step.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
+from .pgm import write_file
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -374,21 +376,14 @@ CHECKPOINT_VERSION = 1
 
 def write_checkpoint(path, meta: dict, arrays) -> None:
     """Write named float64 arrays plus a JSON meta block."""
-    entries = []
-    blobs = []
-    for name, arr in arrays:
-        arr = np.asarray(arr, dtype="<f8", order="C")
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+    arrays = [(name, np.asarray(arr, dtype="<f8", order="C")) for name, arr in arrays]
+    entries = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.uint32(CHECKPOINT_VERSION).tobytes())
-        fh.write(np.uint32(len(header)).tobytes())
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    head = [CHECKPOINT_MAGIC, np.uint32(CHECKPOINT_VERSION).tobytes(),
+            np.uint32(len(header)).tobytes(), header]
+    # the arrays' own buffers, not copies: the file is never held in memory
+    write_file(path, itertools.chain(head, (arr.data for _name, arr in arrays)))
 
 
 def read_checkpoint(path):

@@ -1,10 +1,17 @@
-"""Portable graymap (P5) and landmark sidecar I/O.
+"""File I/O: binary graymaps, landmark sidecars, and the one text reader and
+one atomic writer that every other artifact goes through.
 
 Images are stored as 8-bit binary PGM; in memory they are float64 arrays in
 [0, 1]. Landmarks travel in a text sidecar next to the image (same path plus
 ".lms"): one "x y" line per landmark, full float precision.
+
+write_file writes a temporary file beside its target and renames it into
+place, so an interrupted command leaves the earlier file or none, never a
+truncated one. Images and sidecars are plain writes: a corpus has thousands,
+and its manifest, written last, records that they are complete.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -76,6 +83,48 @@ def _header_tokens(raw: bytes, path):
     return tokens, i + 1
 
 
+def read_lines(path, what: str, encoding: str = "utf-8"):
+    """The non-blank lines of a text file, without their newlines."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return [line.rstrip("\n") for line in fh if line.strip()]
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not {encoding.upper()} text: {exc}") from exc
+
+
+def read_table(path, what: str, columns: int):
+    """The tab-separated rows of a text file, each exactly `columns` fields."""
+    rows = []
+    for line in read_lines(path, what):
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise DataError(f"{path}: malformed {what} line {line!r}")
+        rows.append(fields)
+    return rows
+
+
+def write_file(path, chunks) -> None:
+    """Write str (UTF-8) or bytes-like chunks, in turn, to path atomically.
+
+    The chunks go to `<path>.tmp` in the same directory, which then replaces
+    path; on any exception the temporary file is removed and path is left as
+    it was. Chunks are never joined, so a large file needs no second copy.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_landmarks(path, landmarks: np.ndarray) -> None:
     landmarks = np.asarray(landmarks, dtype=np.float64)
     if landmarks.ndim != 2 or landmarks.shape[1] != 2:
@@ -86,19 +135,16 @@ def write_landmarks(path, landmarks: np.ndarray) -> None:
 
 
 def read_landmarks(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            rows = [line.split() for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read landmarks {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: landmark sidecar is not ASCII text: {exc}") from exc
+    rows = [line.split() for line in read_lines(path, "landmark sidecar", "ascii")]
     if not rows or any(len(r) != 2 for r in rows):
         raise DataError(f"{path}: malformed landmark sidecar")
     try:
-        return np.array([[float(x), float(y)] for x, y in rows], dtype=np.float64)
+        landmarks = np.array([[float(x), float(y)] for x, y in rows], dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric landmark coordinate: {exc}") from exc
+    if not np.all(np.isfinite(landmarks)):
+        raise DataError(f"{path}: non-finite landmark coordinate")
+    return landmarks
 
 
 def landmark_path(image_path) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GeometryError, RangeError
-from .pgm import landmark_path, write_landmarks, write_pgm
+from .pgm import landmark_path, read_table, write_file, write_landmarks, write_pgm
 from .seeding import IDENTITY_STREAM, RENDER_STREAM, STYLE_BASIS_STREAM, derive_rng
 
 LANDMARK_NAMES = (
@@ -319,27 +319,15 @@ def generate_dataset(out_root, seed: int, n_identities: int, images_per_identity
 
 
 def write_dataset_manifest(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rel, identity_id, kind in rows:
-            fh.write(f"{rel}\t{identity_id}\t{kind}\n")
+    write_file(path, (f"{rel}\t{identity_id}\t{kind}\n" for rel, identity_id, kind in rows))
 
 
 def read_dataset_manifest(path):
     """Rows of (relative_path, identity_id, kind)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"missing dataset manifest {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: dataset manifest is not UTF-8 text: {exc}") from exc
     rows = []
-    for line in lines:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}: malformed manifest line {line!r}")
+    for rel, identity, kind in read_table(path, "dataset manifest", 3):
         try:
-            rows.append((parts[0], int(parts[1]), parts[2]))
+            rows.append((rel, int(identity), kind))
         except ValueError as exc:
-            raise DataError(f"{path}: non-integer identity in line {line!r}") from exc
+            raise DataError(f"{path}: non-integer identity {identity!r}") from exc
     return rows

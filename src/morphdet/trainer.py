@@ -29,14 +29,13 @@ from .datamine import (
     sample_batch,
     validate_corpus,
 )
-from .errors import ConfigError, CoverageError, DataError, NumericError
+from .errors import ConfigError, CoverageError, DataError, NumericError, RangeError
 from .fusedloss import (
     KIND_BONAFIDE,
     LossWeights,
     allocate_labels,
     batch_pair_loss,
     check_variant,
-    detection_score,
     head_class_count,
     is_morph_kind,
 )
@@ -51,7 +50,7 @@ from .nncore import (
     softmax_cross_entropy_batch,
     write_checkpoint,
 )
-from .pgm import read_pgm
+from .pgm import read_pgm, write_file
 from .seeding import FR_BATCH_STREAM, INIT_STREAM, derive_rng
 
 DEFAULT_HIDDEN_DIMS = (256,)
@@ -95,13 +94,9 @@ class TrainReport:
     config_echo: dict
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,lr,l1,l2,l3,total,t_ratio\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.step},{r.lr:.9g},{r.l1:.9g},{r.l2:.9g},"
-                    f"{r.l3:.9g},{r.total:.9g},{r.t_ratio:.9g}\n"
-                )
+        write_file(path, ["step,lr,l1,l2,l3,total,t_ratio\n"] + [
+            f"{r.step},{r.lr:.9g},{r.l1:.9g},{r.l2:.9g},{r.l3:.9g},{r.total:.9g},{r.t_ratio:.9g}\n"
+            for r in self.records])
 
 
 def pixel_features(pixels: np.ndarray) -> np.ndarray:
@@ -127,11 +122,7 @@ class ImageCache:
     def flat(self, relpath: str) -> np.ndarray:
         hit = self._store.get(relpath)
         if hit is None:
-            try:
-                pixels = read_pgm(os.path.join(self.root, relpath))
-            except OSError as exc:
-                raise DataError(f"cannot load image {relpath}: {exc}") from exc
-            hit = pixels.reshape(-1)
+            hit = read_pgm(os.path.join(self.root, relpath)).reshape(-1)
             self._store[relpath] = hit
         return hit
 
@@ -292,14 +283,6 @@ def extract_features(model: DualModel, image, which: str) -> np.ndarray:
     return backbone.forward(pixel_features(np.asarray(image, dtype=np.float64).reshape(-1)))
 
 
-def score_pair(model: DualModel, suspect_image, trusted_image) -> float:
-    """Morph-detection score for one suspect/trusted pair; higher = attack."""
-    return detection_score(
-        extract_features(model, suspect_image, "first"),
-        extract_features(model, trusted_image, "second"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Feature-geometry diagnostic
 # ---------------------------------------------------------------------------
@@ -375,7 +358,7 @@ def _checkpoint_fields(path):
         yield
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RangeError) as exc:
         raise DataError(f"{path}: malformed checkpoint field: {exc}") from exc
 
 
@@ -399,22 +382,42 @@ def _load_networks(path, kind: str):
     if meta.get("kind") != kind:
         raise DataError(f"{path}: checkpoint kind is {meta.get('kind')!r}, not {kind!r}")
     networks = []
+    unread = dict(arrays)
     with _checkpoint_fields(path):
         n_layers = int(meta["n_layers"])
         if n_layers < 1:
             raise ValueError(f"n_layers must be at least 1, got {n_layers}")
+        head_rows = _head_rows(path, kind, meta)
         for prefix, head_prefix in _NETWORK_PREFIXES[kind]:
             backbone = MlpBackbone([
-                Layer(arrays[f"{prefix}.layer{k}.weights"], arrays[f"{prefix}.layer{k}.biases"],
+                Layer(unread.pop(f"{prefix}.layer{k}.weights"),
+                      unread.pop(f"{prefix}.layer{k}.biases"),
                       "linear" if k == n_layers - 1 else "relu")
                 for k in range(n_layers)
             ])
-            head = ClassifierHead(arrays[head_prefix + ".weights"], arrays[head_prefix + ".biases"])
+            head = ClassifierHead(unread.pop(head_prefix + ".weights"),
+                                  unread.pop(head_prefix + ".biases"))
             if head.feature_dim != backbone.feature_dim:
                 raise DataError(f"{path}: {head_prefix} takes {head.feature_dim} features, "
                                 f"{prefix} gives {backbone.feature_dim}")
+            if head.num_classes != head_rows:
+                raise DataError(f"{path}: {head_prefix} has {head.num_classes} classes, "
+                                f"the meta gives {head_rows}")
             networks.append((backbone, head))
+    if unread:
+        raise DataError(f"{path}: unexpected arrays in a {kind!r} checkpoint: {sorted(unread)}")
     return networks, meta
+
+
+def _head_rows(path, kind: str, meta: dict) -> int:
+    """Classifier-head rows the meta of a kind checkpoint implies."""
+    if kind == "identity":
+        return int(meta["num_classes"])
+    rows = head_class_count(str(meta["variant"]), int(meta["num_classes"]))
+    if int(meta["head_classes"]) != rows:
+        raise DataError(f"{path}: head_classes {meta['head_classes']} does not fit "
+                        f"{meta['num_classes']} classes of variant {meta['variant']}")
+    return rows
 
 
 def save_model(path, model: DualModel, seed: int, extra_meta: dict = None) -> None:

@@ -233,16 +233,23 @@ _COMPARE = ["compare", "--out-dir", "{tmp}/out", "--protocol"]
      _COMPARE + ["{tmp}/protocol.tsv", "a={tmp}/bad.tsv"], 2),
     ({_LANDMARKS: "1.0 one\n"}, ["gen-morphs"] + _IN_DATA, 2),
     ({_LANDMARKS: b"1.0 \xe9\n"}, ["gen-morphs"] + _IN_DATA, 2),
+    ({_LANDMARKS: lambda text: "nan" + text[text.index(" "):]}, ["gen-morphs"] + _IN_DATA, 2),
+    ({"data/manifest.tsv": _MANIFEST, "data/morphs.tsv": "",
+      "data/split.tsv": "0\tfirst\n0\tsecond\n"},
+     ["train", "--out-dir", "{tmp}/out"] + _IN_DATA, 2),
     ({"bad.config": b"seed = 1\xff\n"}, ["gen-data", "--config", "{tmp}/bad.config"], 1),
 ], ids=["manifest-identity", "manifest-bytes", "manifest-empty", "morph-manifest-id",
         "split-id", "protocol-bytes", "scores-bytes", "landmark-field", "landmark-bytes",
-        "config-bytes"])
+        "landmark-nan", "split-both-subsets", "config-bytes"])
 def test_malformed_inputs_exit_with_their_code(tmp_path, capsys, files, argv, code):
     if _LANDMARKS in files:  # spoil a sidecar of a real dataset
         assert run(["gen-data", "--data-dir", tmp_path / "data", "--seed", 3] + DATA_FLAGS) == 0
     for name, content in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(content):  # an edit of the file gen-data wrote
+            content = content(path.read_text())
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
     capsys.readouterr()
     assert run([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err

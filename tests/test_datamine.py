@@ -79,6 +79,13 @@ def test_split_plan_read_errors(tmp_path):
     bad.write_text("3\tquux\n")
     with pytest.raises(DataError):
         read_split_plan(bad)
+    # a corrupt plan is a data error (exit 2), not a usage error from SplitPlan
+    for text, message in (("1\tfirst\n1\tsecond\n", "duplicate identity 1"),
+                          ("1\tfirst\n1\tfirst\n2\tsecond\n", "duplicate identity 1"),
+                          ("1\tfirst\n2\tfirst\n3\tfirst\n4\tsecond\n", "at most 1")):
+        bad.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_split_plan(bad)
 
 
 def test_morph_pairs_cross_the_split():

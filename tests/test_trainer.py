@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morphdet.datamine import assemble_dataset
+from morphdet.evalbench import GT_BONAFIDE, GT_MORPH, ProtocolEntry, score_protocol
 from morphdet.errors import ConfigError, CoverageError, DataError, NumericError, ShapeError
 from morphdet.fusedloss import DualLabels, KIND_BONAFIDE, KIND_MORPH_LM
 from morphdet.nncore import Layer, MlpBackbone, SgdConfig
@@ -19,7 +20,6 @@ from morphdet.trainer import (
     pixel_features,
     save_identity_model,
     save_model,
-    score_pair,
     train,
     train_identity_classifier,
 )
@@ -151,13 +151,18 @@ def test_report_csv_round_trip(tmp_path, tiny_training):
     assert float(first[5]) == float(f"{report.records[0].total:.9g}")
 
 
+def _tiny_protocol(corpus):
+    """A morph pair and a bona fide pair against the same trusted image."""
+    trusted = corpus.bonafides[0].relpath
+    return [ProtocolEntry("m0", corpus.morphs[0].relpath, trusted, GT_MORPH),
+            ProtocolEntry("b0", corpus.bonafides[1].relpath, trusted, GT_BONAFIDE)]
+
+
 def test_scores_are_probabilities(tiny_corpus, tiny_training):
     _, model, _ = tiny_training
-    cache = ImageCache(tiny_corpus.root)
-    suspect = cache.flat(tiny_corpus.morphs[0].relpath)
-    trusted = cache.flat(tiny_corpus.bonafides[0].relpath)
-    score = score_pair(model, suspect, trusted)
-    assert 0.0 < score < 1.0
+    scores, exclusions = score_protocol(model, _tiny_protocol(tiny_corpus), tiny_corpus.root)
+    assert exclusions == [] and [pair_id for pair_id, _ in scores] == ["m0", "b0"]
+    assert all(0.0 < score < 1.0 for _, score in scores)
 
 
 def test_model_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_corpus, tiny_training):
@@ -170,10 +175,9 @@ def test_model_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_corpus, tiny_tr
     assert loaded.num_classes == model.num_classes
     for pa, pb in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(pa, pb)
-    cache = ImageCache(tiny_corpus.root)
-    suspect = cache.flat(tiny_corpus.morphs[0].relpath)
-    trusted = cache.flat(tiny_corpus.bonafides[0].relpath)
-    assert score_pair(model, suspect, trusted) == score_pair(loaded, suspect, trusted)
+    entries = _tiny_protocol(tiny_corpus)
+    assert score_protocol(model, entries, tiny_corpus.root) == \
+        score_protocol(loaded, entries, tiny_corpus.root)
 
 
 def test_checkpoint_kinds_do_not_cross(tmp_path, tiny_training):
@@ -239,6 +243,42 @@ def test_checkpoint_head_must_fit_its_backbone(tmp_path, tiny_training):
         write_checkpoint(broken, meta, arrays.items())
         with pytest.raises(DataError, match=f"{head} takes {features + 1} features"):
             loader(broken)
+
+
+def test_checkpoint_heads_must_fit_the_meta(tmp_path, tiny_training):
+    from morphdet.nncore import read_checkpoint, write_checkpoint
+
+    _, model, _ = tiny_training
+    dual = tmp_path / "dual.mdck"
+    save_model(dual, model, seed=0)
+    ident = tmp_path / "ident.mdck"
+    save_identity_model(ident, model.first_backbone, model.first_head, seed=0)
+    broken = tmp_path / "broken.mdck"
+    meta, arrays = read_checkpoint(dual)
+    classes = meta["num_classes"]
+    assert meta["variant"] == "fc-v2" and meta["head_classes"] == 2 * classes
+    second_cut = dict(arrays, **{"second.head.weights": arrays["second.head.weights"][:classes],
+                                 "second.head.biases": arrays["second.head.biases"][:classes]})
+    for bad_meta, bad_arrays, message in (
+            (dict(meta, num_classes=classes + 1, head_classes=2 * classes + 2), arrays,
+             f"first.head has {2 * classes} classes"),
+            (dict(meta, head_classes=2 * classes + 1), arrays, "head_classes"),
+            (dict(meta, variant="fc-v1"), arrays, "head_classes"),
+            (dict(meta, variant="fc-v9"), arrays, "unknown variant"),
+            (meta, second_cut, f"second.head has {classes} classes"),
+            (meta, dict(arrays, **{"first.layer9.weights": np.zeros(1)}), "first.layer9"),
+    ):
+        write_checkpoint(broken, bad_meta, bad_arrays.items())
+        with pytest.raises(DataError, match=message):
+            load_model(broken)
+    meta, arrays = read_checkpoint(ident)
+    for bad_meta, bad_arrays, message in (
+            (dict(meta, num_classes=meta["num_classes"] - 1), arrays, "head has"),
+            (meta, dict(arrays, extra=np.zeros(1)), "extra"),
+    ):
+        write_checkpoint(broken, bad_meta, bad_arrays.items())
+        with pytest.raises(DataError, match=message):
+            load_identity_model(broken)
 
 
 def test_extract_features_validation(tiny_training):
