@@ -8,10 +8,15 @@ network, where the trusted image is always an original bona fide of the
 suspect's first identity. That selection rule makes the pair target t
 biconditional with the suspect's kind: morph suspects always give t = 1,
 bona fide and selfmorph suspects always give t = 0.
+
+pair_rows lays a corpus and its trusted pools out as rows once per training;
+sample_batch then draws each batch as suspect rows and trusted rows.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, CoverageError, DataError
 from .fusedloss import (
@@ -222,28 +227,54 @@ def bonafide_pools(bonafides):
     return pools
 
 
-def sample_batch(corpus, pools, batch_size: int, seed: int, step: int):
-    """One deterministic training batch of suspect/trusted pairs.
+@dataclass(frozen=True)
+class PairRows:
+    """Suspect row r is corpus[r]. The trusted records sit pool after pool,
+    each in pool order, so the pool of corpus[r]'s first identity is the
+    pool_size[r] trusted rows from pool_start[r]; size 0 means no pool."""
+
+    corpus: tuple
+    trusted: tuple
+    pool_start: np.ndarray
+    pool_size: np.ndarray
+
+    def pairs(self, suspect_rows, trusted_rows):
+        """The PairSamples of rows drawn by sample_batch."""
+        return [PairSample(self.corpus[s], self.trusted[t])
+                for s, t in zip(suspect_rows, trusted_rows)]
+
+
+def pair_rows(corpus, pools) -> PairRows:
+    """PairRows of a corpus and the trusted pools of bonafide_pools."""
+    trusted = []
+    start = {}
+    for identity, pool in pools.items():
+        start[identity] = len(trusted)
+        trusted.extend(pool)
+    first_ids = [record.labels.y1 for record in corpus]
+    return PairRows(tuple(corpus), tuple(trusted),
+                    np.array([start.get(i, 0) for i in first_ids], dtype=np.int64),
+                    np.array([len(pools.get(i, ())) for i in first_ids], dtype=np.int64))
+
+
+def sample_batch(rows: PairRows, batch_size: int, seed: int, step: int):
+    """One deterministic training batch as (suspect rows, trusted rows).
 
     Suspects are drawn uniformly from the corpus, trusted images uniformly
     from the original bona fides sharing the suspect's first identity.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    if not corpus:
+    if not rows.corpus:
         raise ConfigError("empty corpus")
     rng = derive_rng(seed, BATCH_STREAM, step)
-    picks = rng.integers(len(corpus), size=batch_size)
-    batch = []
-    for index in picks:
-        suspect = corpus[int(index)]
-        y1 = suspect.labels.y1
-        pool = pools.get(y1)
-        if not pool:
-            raise CoverageError(f"no original bona fide image for identity {y1}")
-        trusted = pool[int(rng.integers(len(pool)))]
-        batch.append(PairSample(suspect, trusted))
-    return batch
+    suspects = rng.integers(len(rows.corpus), size=batch_size)
+    sizes = rows.pool_size[suspects]
+    if not sizes.all():
+        orphan = rows.corpus[suspects[np.argmin(sizes)]]
+        raise CoverageError(f"no original bona fide image for identity {orphan.labels.y1}")
+    # an array of bounds draws as one scalar call per suspect, in order
+    return suspects, rows.pool_start[suspects] + rng.integers(sizes)
 
 
 def holdout_identities(plan: SplitPlan, seed: int, fraction: float):

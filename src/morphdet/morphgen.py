@@ -22,8 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
-from scipy.spatial import QhullError
 
 from .errors import DataError, GeometryError, RangeError, TopologyError
 from .fusedloss import (
@@ -123,6 +121,10 @@ def triangulate(points) -> Triangulation:
     if float(dist.min()) < _DUPLICATE_EPS:
         i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
         raise GeometryError(f"duplicate points {i} and {j} make degenerate triangles")
+    # imported here, by its one user: loading scipy.spatial is most of the
+    # package's import time, which no command but gen-morphs should pay
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tess = Delaunay(pts)
     except QhullError as exc:

@@ -2,8 +2,9 @@
 one atomic writer that every other artifact goes through.
 
 Images are stored as 8-bit binary PGM; in memory they are float64 arrays in
-[0, 1]. Landmarks travel in a text sidecar next to the image (same path plus
-".lms"): one "x y" line per landmark, full float precision.
+[0, 1] (read_pgm), or their uint8 pixels (read_pgm_bytes). Landmarks travel
+in a text sidecar next to the image (same path plus ".lms"): one "x y" line
+per landmark, full float precision.
 
 write_file writes a temporary file beside its target and renames it into
 place, so an interrupted command leaves the earlier file or none, never a
@@ -35,6 +36,12 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Pixels of a binary PGM as float64 intensities in [0, 1]."""
+    return read_pgm_bytes(path).astype(np.float64) / 255.0
+
+
+def read_pgm_bytes(path) -> np.ndarray:
+    """The (h, w) uint8 pixels of a binary PGM with maxval 255."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -56,7 +63,7 @@ def read_pgm(path) -> np.ndarray:
     data = raw[offset : offset + w * h]
     if len(data) != w * h:
         raise DataError(f"{path}: truncated pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
 def _header_tokens(raw: bytes, path):

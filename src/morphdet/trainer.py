@@ -14,6 +14,11 @@ classifier. Then one SGD-with-momentum call updates the whole vector. The
 learning rate decays linearly across the planned step count. Reports are
 per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`. Both models are saved and
 loaded through one checkpoint writer and one reader, keyed by model kind.
+
+Each training reads its images once into one (N, D) uint8 matrix
+(_image_rows) and builds its label arrays once, so a step is index draws,
+gathers and the elementwise map to network inputs (_inputs). ImageCache
+serves scoring.
 """
 
 import contextlib
@@ -26,6 +31,7 @@ import numpy as np
 from .datamine import (
     SplitPlan,
     bonafide_pools,
+    pair_rows,
     sample_batch,
     validate_corpus,
 )
@@ -50,7 +56,7 @@ from .nncore import (
     softmax_cross_entropy_batch,
     write_checkpoint,
 )
-from .pgm import read_pgm, write_file
+from .pgm import read_pgm, read_pgm_bytes, write_file
 from .seeding import FR_BATCH_STREAM, INIT_STREAM, derive_rng
 
 DEFAULT_HIDDEN_DIMS = (256,)
@@ -110,10 +116,37 @@ def pixel_features(pixels: np.ndarray) -> np.ndarray:
     return 2.0 * (np.asarray(pixels, dtype=np.float64) - 0.5)
 
 
+def _image_rows(root, relpaths):
+    """(pixels, rows): the uint8 pixels of each distinct image of relpaths,
+    read once, one row each, and the row of every entry of relpaths. An
+    image shaped unlike the first is a DataError naming its path."""
+    row_of = {}
+    for relpath in relpaths:
+        row_of.setdefault(relpath, len(row_of))
+    pixels = None
+    for relpath, row in row_of.items():
+        path = os.path.join(root, relpath)
+        image = read_pgm_bytes(path)
+        if pixels is None:
+            shape = image.shape
+            pixels = np.empty((len(row_of), image.size), dtype=np.uint8)
+        elif image.shape != shape:
+            raise DataError(f"{path}: {image.shape[1]}x{image.shape[0]} image, the first "
+                            f"training image is {shape[1]}x{shape[0]}")
+        pixels[row] = image.reshape(-1)
+    return pixels, np.array([row_of[relpath] for relpath in relpaths], dtype=np.int64)
+
+
+def _inputs(pixels, rows):
+    """Network inputs of the given rows of _image_rows pixels: the float
+    operations of read_pgm, then pixel_features, so the bytes match."""
+    return pixel_features(pixels[rows] / 255.0)
+
+
 class ImageCache:
-    """Lazy image loader keyed by manifest-relative path; values are flat
-    float64 vectors of raw intensities in [0, 1]. Cached arrays are shared;
-    callers must not mutate."""
+    """Lazy image loader for scoring, keyed by manifest-relative path; values
+    are flat float64 vectors of raw intensities in [0, 1]. Cached arrays are
+    shared; callers must not mutate."""
 
     def __init__(self, root):
         self.root = os.fspath(root)
@@ -143,28 +176,12 @@ def build_dual_model(input_dim: int, hidden_dims, feature_dim: int,
                      variant, num_classes)
 
 
-def _batch_arrays(batch, cache: ImageCache, variant: str, num_classes: int):
-    suspects = pixel_features(np.stack([cache.flat(p.first.relpath) for p in batch]))
-    trusted = pixel_features(np.stack([cache.flat(p.second.relpath) for p in batch]))
-    first_classes = np.array(
-        [allocate_labels(p.first.labels, p.first.kind, variant, num_classes)[0]
-         for p in batch],
-        dtype=np.int64,
-    )
-    second_classes = np.array(
-        [allocate_labels(p.second.labels, p.second.kind, variant, num_classes)[1]
-         for p in batch],
-        dtype=np.int64,
-    )
-    t = np.array([p.t for p in batch], dtype=np.float64)
-    return suspects, trusted, first_classes, second_classes, t
-
-
 def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_views):
     """Fused loss of one batch; writes its gradients into grad_views.
 
-    batch_arrays is (suspects, trusted, first_classes, second_classes, t) as
-    built by _batch_arrays; grad_views are the gradient views returned by
+    batch_arrays is (suspects, trusted, first_classes, second_classes, t),
+    the two networks' input rows, head classes and the cross labels;
+    grad_views are the gradient views returned by
     pack_parameters(model.units()). Gradients are written only when the total
     loss is finite. Returns the BatchLossBreakdown.
     """
@@ -247,22 +264,32 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
     """
     check_variant(variant)
     validate_corpus(corpus, plan)
-    pools = bonafide_pools(trusted_records)
+    rows = pair_rows(corpus, bonafide_pools(trusted_records))
     sgd = _schedule(sgd, len(corpus), "corpus")
-    cache = ImageCache(root)
-    model = build_dual_model(cache.flat(corpus[0].relpath).size, hidden_dims, feature_dim,
+    pixels, image_row = _image_rows(root, [r.relpath for r in rows.corpus + rows.trusted])
+    suspect_image, trusted_image = image_row[:len(corpus)], image_row[len(corpus):]
+    first_classes = np.array([allocate_labels(r.labels, r.kind, variant, num_classes)[0]
+                              for r in rows.corpus], dtype=np.int64)
+    second_classes = np.array([allocate_labels(r.labels, r.kind, variant, num_classes)[1]
+                               for r in rows.trusted], dtype=np.int64)
+    suspect_y2 = np.array([r.labels.y2 for r in rows.corpus], dtype=np.int64)
+    trusted_y2 = np.array([r.labels.y2 for r in rows.trusted], dtype=np.int64)
+    model = build_dual_model(pixels.shape[1], hidden_dims, feature_dim,
                              num_classes, variant, seed)
     weights = LossWeights.for_variant(variant, pair_weight)
 
     def objective(step, grad_views):
-        batch = sample_batch(corpus, pools, sgd.batch_size, seed, step)
-        batch_arrays = _batch_arrays(batch, cache, variant, num_classes)
+        suspects, trusted = sample_batch(rows, sgd.batch_size, seed, step)
+        batch_arrays = (_inputs(pixels, suspect_image[suspects]),
+                        _inputs(pixels, trusted_image[trusted]),
+                        first_classes[suspects], second_classes[trusted],
+                        (suspect_y2[suspects] != trusted_y2[trusted]).astype(np.float64))
         breakdown = loss_and_grads(model, batch_arrays, weights, grad_views)
         if not np.isfinite(breakdown.total):
-            kinds = ",".join(p.first.kind for p in batch[:5])
+            head = rows.pairs(suspects[:5], trusted[:5])
             raise NumericError(
-                f"training diverged at step {step} "
-                f"(batch head: {batch[0].first.relpath} kinds: {kinds})"
+                f"training diverged at step {step} (batch head: {head[0].first.relpath} "
+                f"kinds: {','.join(p.first.kind for p in head)})"
             )
         return breakdown.l1, breakdown.l2, breakdown.l3, breakdown.total, breakdown.t_ratio
 
@@ -453,20 +480,19 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
     if not records:
         raise ConfigError("identity classifier needs original bona fide records")
     sgd = _schedule(sgd, len(records), "bona fide set")
-    cache = ImageCache(root)
-    probe = cache.flat(records[0].relpath)
+    pixels, image_row = _image_rows(root, [r.relpath for r in records])
+    labels = np.array([r.labels.y1 for r in records], dtype=np.int64)
     backbone = MlpBackbone.build(
-        [probe.size] + [int(d) for d in hidden_dims] + [int(feature_dim)],
+        [pixels.shape[1]] + [int(d) for d in hidden_dims] + [int(feature_dim)],
         derive_rng(seed, INIT_STREAM, 10),
     )
     head = ClassifierHead.build(num_classes, feature_dim, derive_rng(seed, INIT_STREAM, 11))
 
     def objective(step, grad_views):
         rng = derive_rng(seed, FR_BATCH_STREAM, step)
-        batch = [records[int(i)] for i in rng.integers(len(records), size=sgd.batch_size)]
-        x = pixel_features(np.stack([cache.flat(r.relpath) for r in batch]))
-        labels = np.array([r.labels.y1 for r in batch], dtype=np.int64)
-        loss = identity_loss_and_grads(backbone, head, x, labels, grad_views)
+        picks = rng.integers(len(records), size=sgd.batch_size)
+        loss = identity_loss_and_grads(backbone, head, _inputs(pixels, image_row[picks]),
+                                       labels[picks], grad_views)
         if not np.isfinite(loss):
             raise NumericError(f"identity classifier diverged at step {step}")
         return loss, 0.0, 0.0, loss, 0.0

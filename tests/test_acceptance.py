@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from morphdet import cli, datamine, evalbench, fusedloss, morphgen, nncore, trainer
 from morphdet.synthfaces import SynthConfig, make_identity, render
@@ -197,14 +196,18 @@ def test_criterion_04_morph_geometry():
 def test_criterion_05_sampling_contract(bench):
     corpus = bench.corpora[BENCH["train_seeds"][0]]
     pools = datamine.bonafide_pools(bench.handle.bonafides)
+    rows = datamine.pair_rows(corpus, pools)
     batch_size = 28
     steps = len(corpus) // batch_size
     violations = 0
     pairs = 0
     for step in range(steps):
-        for pair in datamine.sample_batch(corpus, pools, batch_size, 0, step):
+        suspects, trusted = datamine.sample_batch(rows, batch_size, 0, step)
+        for s, pair in zip(suspects, rows.pairs(suspects, trusted)):
             pairs += 1
-            trusted_is_original = pair.second.kind == fusedloss.KIND_BONAFIDE
+            trusted_is_original = (pair.first is corpus[s]
+                                   and pair.second in pools[pair.first.labels.y1]
+                                   and pair.second.kind == fusedloss.KIND_BONAFIDE)
             labels_match = (
                 pair.second.labels.y1 == pair.second.labels.y2 == pair.first.labels.y1
             )

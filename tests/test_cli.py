@@ -6,6 +6,8 @@ the comparison report. Reruns must be byte-identical.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +218,10 @@ def test_identity_gradient_check_passes():
 _MANIFEST = "images/a.pgm\t0\tbonafide\nimages/b.pgm\t1\tbonafide\n"
 _PROTOCOL = "p1\timages/a.pgm\timages/b.pgm\tbonafide\n"
 _LANDMARKS = "data/images/id0000_v000.pgm.lms"
+# a 16-px dataset holding one 8-px image, which training must reject by path
+_SMALL_IMAGE = b"P5\n8 8\n255\n" + bytes(range(64))
+_MORPH = "data/morphs/morph-lm-00009-a0001-b0004.pgm"
+_BONAFIDE = "data/images/id0005_v002.pgm"
 _IN_DATA = ["--data-dir", "{tmp}/data"]
 _COMPARE = ["compare", "--out-dir", "{tmp}/out", "--protocol"]
 
@@ -238,12 +244,20 @@ _COMPARE = ["compare", "--out-dir", "{tmp}/out", "--protocol"]
       "data/split.tsv": "0\tfirst\n0\tsecond\n"},
      ["train", "--out-dir", "{tmp}/out"] + _IN_DATA, 2),
     ({"bad.config": b"seed = 1\xff\n"}, ["gen-data", "--config", "{tmp}/bad.config"], 1),
+    ({_MORPH: _SMALL_IMAGE}, ["train", "--out-dir", "{tmp}/out"] + _IN_DATA + NET_FLAGS, 2),
+    ({_BONAFIDE: _SMALL_IMAGE}, ["train-fr", "--out-dir", "{tmp}/out", "--batch-size", "6"]
+     + _IN_DATA + NET_FLAGS, 2),
 ], ids=["manifest-identity", "manifest-bytes", "manifest-empty", "morph-manifest-id",
         "split-id", "protocol-bytes", "scores-bytes", "landmark-field", "landmark-bytes",
-        "landmark-nan", "split-both-subsets", "config-bytes"])
+        "landmark-nan", "split-both-subsets", "config-bytes", "train-image-size",
+        "train-fr-image-size"])
 def test_malformed_inputs_exit_with_their_code(tmp_path, capsys, files, argv, code):
-    if _LANDMARKS in files:  # spoil a sidecar of a real dataset
-        assert run(["gen-data", "--data-dir", tmp_path / "data", "--seed", 3] + DATA_FLAGS) == 0
+    data = tmp_path / "data"
+    # spoil a file of a real dataset
+    if any(name.startswith(("data/images/", "data/morphs/")) for name in files):
+        assert run(["gen-data", "--data-dir", data, "--seed", 3] + DATA_FLAGS) == 0
+    if any(name.startswith("data/morphs/") for name in files):
+        assert run(["gen-morphs", "--data-dir", data, "--seed", 3] + SIZE_FLAGS) == 0
     for name, content in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -254,6 +268,62 @@ def test_malformed_inputs_exit_with_their_code(tmp_path, capsys, files, argv, co
     assert run([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    for name, content in files.items():
+        if content == _SMALL_IMAGE:
+            assert name.split("/")[-1] in err and "8x8" in err
+
+
+def _src_env(**variables):
+    """The environment of a subprocess that imports this checkout's package."""
+    import morphdet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphdet.__file__)))
+    return dict(os.environ, PYTHONPATH=src, **variables)
+
+
+def test_cli_import_loads_no_scipy():
+    # only the triangulation of gen-morphs needs SciPy; every other command
+    # should not pay for importing it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, morphdet.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_src_env(), capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every command's bytes at the desk image size, under one and two BLAS
+    threads. The count is set in the subprocess environment only."""
+    seeded = ["--seed", "0"]
+    commands = [
+        ["gen-data", "--n-identities", "48", "--images-per-identity", "8", "--image-size", "32"]
+        + seeded,
+        ["gen-morphs", "--image-size", "32"] + seeded,
+        ["gen-protocol", "--family", "landmark"] + seeded,
+        ["train", "--out-dir", "v2", "--variant", "fc-v2", "--train-families", "landmark",
+         "--pair-weight", "0.25", "--epochs", "1"] + seeded,
+        ["train-fr", "--out-dir", "fr", "--epochs", "1"] + seeded,
+        ["eval", "--out-dir", "eval", "--checkpoint", "v2/checkpoint.mdck",
+         "--fr-checkpoint", "fr/fr.mdck", "--protocol", "data/protocol-landmark.tsv"],
+    ]
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        env = _src_env(OPENBLAS_NUM_THREADS=threads)
+        for command in commands:
+            subprocess.run([sys.executable, "-m", "morphdet.cli", *command, "--data-dir", "data"],
+                           cwd=cwd, env=env, capture_output=True, check=True)
+        trees.append(_tree_bytes(cwd))
+    one, two = trees
+    assert "v2/checkpoint.mdck" in one and "eval/scores_fused.tsv" in one
+    assert sorted(one) == sorted(two)
+    assert [name for name in sorted(one) if one[name] != two[name]] == []
 
 
 def test_eval_surfaces_exclusions(pipeline, tmp_path, capsys):

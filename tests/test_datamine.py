@@ -16,6 +16,7 @@ from morphdet.datamine import (
     bonafide_pools,
     filter_families,
     holdout_identities,
+    pair_rows,
     plan_morph_pairs,
     read_split_plan,
     records_from_manifests,
@@ -25,6 +26,7 @@ from morphdet.datamine import (
     write_split_plan,
 )
 from morphdet.errors import ConfigError, CoverageError, DataError
+from morphdet.seeding import BATCH_STREAM, derive_rng
 from morphdet.fusedloss import (
     DualLabels,
     KIND_BONAFIDE,
@@ -203,13 +205,15 @@ def test_bonafide_pools_reject_derived_records():
 def test_sample_batch_is_deterministic_and_typed(tiny_corpus):
     corpus = assemble_dataset(tiny_corpus.bonafides, tiny_corpus.selfmorphs,
                               tiny_corpus.morphs, 0)
-    pools = bonafide_pools(tiny_corpus.bonafides)
-    batch = sample_batch(corpus, pools, 8, seed=3, step=0)
-    again = sample_batch(corpus, pools, 8, seed=3, step=0)
-    assert batch == again
-    moved = sample_batch(corpus, pools, 8, seed=3, step=1)
-    assert moved != batch
-    for pair in batch:
+    rows = pair_rows(corpus, bonafide_pools(tiny_corpus.bonafides))
+    suspects, trusted = sample_batch(rows, 8, seed=3, step=0)
+    assert suspects.shape == trusted.shape == (8,)
+    assert suspects.dtype == trusted.dtype == np.int64
+    again = sample_batch(rows, 8, seed=3, step=0)
+    assert np.array_equal(again[0], suspects) and np.array_equal(again[1], trusted)
+    moved = sample_batch(rows, 8, seed=3, step=1)
+    assert not (np.array_equal(moved[0], suspects) and np.array_equal(moved[1], trusted))
+    for pair in rows.pairs(suspects, trusted):
         assert pair.second.kind == KIND_BONAFIDE
         assert pair.second.labels.y1 == pair.second.labels.y2
         assert pair.second.labels.y1 == pair.first.labels.y1
@@ -219,30 +223,74 @@ def test_sample_batch_is_deterministic_and_typed(tiny_corpus):
 def test_sample_batch_errors(tiny_corpus):
     pools = bonafide_pools(tiny_corpus.bonafides)
     with pytest.raises(ConfigError):
-        sample_batch([], pools, 4, 0, 0)
+        sample_batch(pair_rows([], pools), 4, 0, 0)
     corpus = [tiny_corpus.morphs[0]]
     with pytest.raises(ConfigError):
-        sample_batch(corpus, pools, 0, 0, 0)
+        sample_batch(pair_rows(corpus, pools), 0, 0, 0)
     orphan_pools = {k: v for k, v in pools.items()
                     if k != corpus[0].labels.y1}
     with pytest.raises(CoverageError, match=str(corpus[0].labels.y1)):
-        sample_batch(corpus, orphan_pools, 16, 0, 0)
+        sample_batch(pair_rows(corpus, orphan_pools), 16, 0, 0)
+
+
+def _scalar_sample_batch(corpus, pools, batch_size, seed, step):
+    """Oracle: the per-suspect loop sample_batch once ran. Returns the
+    suspect indices and, per suspect, the index of its trusted image within
+    its pool."""
+    rng = derive_rng(seed, BATCH_STREAM, step)
+    picks = rng.integers(len(corpus), size=batch_size)
+    within = []
+    for index in picks:
+        y1 = corpus[int(index)].labels.y1
+        pool = pools.get(y1)
+        if not pool:
+            raise CoverageError(f"no original bona fide image for identity {y1}")
+        within.append(int(rng.integers(len(pool))))
+    return picks, np.array(within, dtype=np.int64)
+
+
+@pytest.mark.parametrize("pool_sizes", ["desk", "uneven"])
+def test_sample_batch_draws_as_the_scalar_loop(pool_sizes):
+    """Same suspects and same trusted images as the oracle, at the desk pool
+    size of 8 and at uneven sizes 1-8, over many seeds and steps."""
+    shuffle = np.random.default_rng(17)
+    n_ids = 48
+    sizes = [8] * n_ids if pool_sizes == "desk" else shuffle.integers(1, 9, size=n_ids)
+    bona = [_record(f"b{i}_{k}.pgm", i, i, KIND_BONAFIDE)
+            for i in range(n_ids) for k in range(sizes[i])]
+    # pools fill in an order other than identity order
+    pools = bonafide_pools([bona[i] for i in shuffle.permutation(len(bona))])
+    corpus = bona + [_record(f"m{i}.pgm", i, (i + 1) % n_ids, KIND_MORPH_LM)
+                     for i in range(n_ids)]
+    rows = pair_rows(corpus, pools)
+    for seed in range(40):
+        for step in range(0, 1620, 163):
+            suspects, trusted = sample_batch(rows, 28, seed, step)
+            picks, within = _scalar_sample_batch(corpus, pools, 28, seed, step)
+            assert np.array_equal(suspects, picks)
+            assert np.array_equal(trusted - rows.pool_start[suspects], within)
+            assert [pair.second for pair in rows.pairs(suspects, trusted)] == \
+                [pools[corpus[s].labels.y1][w] for s, w in zip(picks, within)]
 
 
 def test_full_epoch_pairs_satisfy_the_trusted_contract(tiny_corpus):
     """Every pair in an exhaustive epoch: trusted is an original bona fide
-    with agreeing labels, and the cross label is exactly second-label
-    disagreement."""
+    of the suspect's first identity with agreeing labels, and the cross
+    label is exactly second-label disagreement."""
     corpus = assemble_dataset(tiny_corpus.bonafides, tiny_corpus.selfmorphs,
                               tiny_corpus.morphs, 0)
     validate_corpus(corpus, tiny_corpus.plan)
     pools = bonafide_pools(tiny_corpus.bonafides)
+    rows = pair_rows(corpus, pools)
     batch_size = 7
     steps = len(corpus) // batch_size
     assert steps >= 3
     checked = 0
     for step in range(steps):
-        for pair in sample_batch(corpus, pools, batch_size, seed=1, step=step):
+        suspects, trusted = sample_batch(rows, batch_size, seed=1, step=step)
+        for s, pair in zip(suspects, rows.pairs(suspects, trusted)):
+            assert pair.first is corpus[s]
+            assert pair.second in pools[pair.first.labels.y1]
             assert pair.second.kind == KIND_BONAFIDE
             assert pair.second.labels.y1 == pair.second.labels.y2
             assert pair.second.labels.y1 == pair.first.labels.y1

@@ -40,7 +40,7 @@ from morphdet.evalbench import (
 )
 from morphdet.fusedloss import KIND_MORPH_LATENT, KIND_MORPH_LM
 from morphdet.nncore import SgdConfig
-from morphdet.trainer import ImageCache, train_identity_classifier
+from morphdet.trainer import train_identity_classifier
 
 
 def oracle_operating_point(scores, is_attack, delta):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from morphdet.errors import NumericError, RangeError, ShapeError
 from morphdet.fusedloss import (
-    ALL_KINDS,
     KIND_BONAFIDE,
     KIND_MORPH_LATENT,
     KIND_MORPH_LM,

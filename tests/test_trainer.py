@@ -6,10 +6,9 @@ import pytest
 from morphdet.datamine import assemble_dataset
 from morphdet.evalbench import GT_BONAFIDE, GT_MORPH, ProtocolEntry, score_protocol
 from morphdet.errors import ConfigError, CoverageError, DataError, NumericError, ShapeError
-from morphdet.fusedloss import DualLabels, KIND_BONAFIDE, KIND_MORPH_LM
+from morphdet.fusedloss import DualLabels, KIND_MORPH_LM
 from morphdet.nncore import Layer, MlpBackbone, SgdConfig
 from morphdet.trainer import (
-    DualModel,
     ImageCache,
     build_dual_model,
     extract_features,
