@@ -275,25 +275,33 @@ def cmd_eval(args) -> int:
     model, _meta = trainer.load_model(cfg["checkpoint"])
     entries = evalbench.read_protocol(cfg["protocol"])
     cache = trainer.ImageCache(cfg["data_dir"])
-    scores, exclusions = evalbench.score_protocol(model, entries, cfg["data_dir"], cache)
+    scores, exclusions = evalbench.score_protocol(model, entries, cache)
 
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     evalbench.write_scores(os.path.join(out_dir, "scores.tsv"), scores)
-    scored_ids = set(pair_id for pair_id, _ in scores)
-    scored_entries = [e for e in entries if e.pair_id in scored_ids]
     named = [("mad", scores)]
 
     if cfg["fr_checkpoint"]:
         backbone, _head, _meta2 = trainer.load_identity_model(cfg["fr_checkpoint"])
+        mad = dict(scores)
         sims, sim_exclusions = evalbench.fr_similarities(
-            backbone, scored_entries, cfg["data_dir"], cache
-        )
+            backbone, [e for e in entries if e.pair_id in mad], cache)
         exclusions.extend(sim_exclusions)
-        fused = evalbench.fuse_score_lists(scores, sims, cfg["fuse_mode"])
+        # fusion and metrics cover the pairs that both scorers kept
+        named = [("mad", [(pair_id, mad[pair_id]) for pair_id, _ in sims])]
+        fused = evalbench.fuse_score_lists(named[0][1], sims, cfg["fuse_mode"])
         evalbench.write_scores(os.path.join(out_dir, "scores_fused.tsv"), fused)
         named.append((f"fused-{cfg['fuse_mode']}", fused))
 
+    for pair_id, reason in exclusions:
+        print(f"excluded {pair_id}: {reason}", file=sys.stderr)
+    kept = set(pair_id for pair_id, _ in named[0][1])
+    scored_entries = [e for e in entries if e.pair_id in kept]
+    unscored = set(e.ground_truth for e in entries) - set(e.ground_truth for e in scored_entries)
+    if unscored:
+        raise DataError(f"{len(exclusions)} protocol entries could not be scored, "
+                        f"leaving no {' or '.join(sorted(unscored))} pair")
     rows = evalbench.compare_runs(named, scored_entries, cfg["deltas"])
     evalbench.write_comparison_csv(os.path.join(out_dir, "metrics.csv"), rows)
     protocol_name = os.path.basename(cfg["protocol"])
@@ -307,8 +315,6 @@ def cmd_eval(args) -> int:
     _write_config(cfg, out_dir, "eval")
     print(evalbench.format_comparison_table(rows, protocol_name))
     if exclusions:
-        for pair_id, reason in exclusions:
-            print(f"excluded {pair_id}: {reason}", file=sys.stderr)
         raise DataError(f"{len(exclusions)} protocol entries could not be scored")
     return 0
 

@@ -136,46 +136,54 @@ def read_protocol(path):
 # ---------------------------------------------------------------------------
 
 
-def score_protocol(model: DualModel, entries, root, cache: ImageCache = None):
+def score_protocol(model: DualModel, entries, cache: ImageCache):
     """Score every protocol pair; higher = attack.
 
     Returns (scores, exclusions): scores as (pair_id, float) in protocol
-    order; exclusions as (pair_id, reason) for entries whose images failed
-    to load. Excluded entries carry no score and the caller must surface a
-    nonzero exit if any exist.
+    order; exclusions as (pair_id, reason) for entries with an image that
+    failed to load or does not fit the network. Excluded entries carry no
+    score and the caller must surface a nonzero exit if any exist.
     """
-    cache = cache or ImageCache(root)
+    return _score_pairs(entries, cache, model.first_backbone, model.second_backbone,
+                        detection_score)
+
+
+def fr_similarities(backbone, entries, cache: ImageCache):
+    """Identity-feature similarity in [0, 1] for every protocol pair, as
+    (sims, exclusions) in the form of score_protocol."""
+    return _score_pairs(entries, cache, backbone, backbone, identity_similarity)
+
+
+def _score_pairs(entries, cache: ImageCache, first, second, pair_score):
+    """pair_score of the features of path_a by first and of path_b by second
+    per entry, from one feature table per network: each distinct image is
+    read once through cache and goes once through each network it feeds."""
+    inputs = {first: [e.path_a for e in entries]}
+    inputs[second] = inputs.get(second, []) + [e.path_b for e in entries]
+    unusable = {}  # relpath -> reason
+    tables = {}  # network -> {relpath: feature row}, rows of one matrix
+    for network, relpaths in inputs.items():
+        images = {}
+        for relpath in dict.fromkeys(p for p in relpaths if p not in unusable):
+            try:
+                image = cache.flat(relpath)
+                if image.size != network.input_dim:
+                    raise DataError(f"{relpath}: image of {image.size} pixels, the network "
+                                    f"takes {network.input_dim}")
+                images[relpath] = image
+            except DataError as exc:
+                unusable[relpath] = str(exc)
+        tables[network] = dict(zip(images, extract_features(network, list(images.values()))))
     scores = []
     exclusions = []
     for entry in entries:
-        try:
-            suspect = cache.flat(entry.path_a)
-            trusted = cache.flat(entry.path_b)
-        except DataError as exc:
-            exclusions.append((entry.pair_id, str(exc)))
-            continue
-        score = detection_score(
-            extract_features(model, suspect, "first"),
-            extract_features(model, trusted, "second"),
-        )
-        scores.append((entry.pair_id, score))
+        reason = unusable.get(entry.path_a) or unusable.get(entry.path_b)
+        if reason:
+            exclusions.append((entry.pair_id, reason))
+        else:
+            scores.append((entry.pair_id, pair_score(tables[first][entry.path_a],
+                                                     tables[second][entry.path_b])))
     return scores, exclusions
-
-
-def fr_similarities(backbone, entries, root, cache: ImageCache = None):
-    """Identity-feature similarity in [0, 1] for every protocol pair."""
-    cache = cache or ImageCache(root)
-    sims = []
-    exclusions = []
-    for entry in entries:
-        try:
-            image_a = cache.flat(entry.path_a)
-            image_b = cache.flat(entry.path_b)
-        except DataError as exc:
-            exclusions.append((entry.pair_id, str(exc)))
-            continue
-        sims.append((entry.pair_id, identity_similarity(backbone, image_a, image_b)))
-    return sims, exclusions
 
 
 def write_scores(path, scores) -> None:
@@ -247,25 +255,16 @@ def apcer_bpcer(scores, is_attack, threshold: float):
 def apcer_at_bpcer(scores, is_attack, delta: float):
     """APCER at the smallest candidate threshold whose BPCER <= delta.
 
-    Candidates are the sorted unique scores plus +inf, so the operating
-    point is exactly reproducible from the score set alone. Returns
-    (apcer, threshold).
+    Candidates are the thresholds of det_curve, the sorted unique scores,
+    plus +inf, so the operating point is a row of the DET table and exactly
+    reproducible from the score set alone. Returns (apcer, threshold).
     """
     if not 0.0 < delta < 1.0:
         raise RangeError(f"delta must be in (0, 1), got {delta}")
-    attack, bona = _split_classes(scores, is_attack)
-    attack_sorted = np.sort(attack)
-    bona_sorted = np.sort(bona)
-    candidates = np.unique(np.concatenate([attack_sorted, bona_sorted]))
-    # bpcer per candidate: fraction of bona scores >= tau (non-increasing in tau)
-    bpcer = (bona.size - np.searchsorted(bona_sorted, candidates, side="left")) / bona.size
-    ok = np.nonzero(bpcer <= delta)[0]
-    if ok.size:
-        tau = float(candidates[ok[0]])
-    else:
-        tau = np.inf
-    apcer = float(np.searchsorted(attack_sorted, tau, side="left")) / attack.size
-    return apcer, tau
+    for tau, apcer, bpcer in det_curve(scores, is_attack).rows:
+        if bpcer <= delta:
+            return apcer, tau
+    return 1.0, np.inf
 
 
 def det_curve(scores, is_attack) -> DetCurve:

@@ -152,11 +152,8 @@ class MlpBackbone:
         return cls(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Feature vector(s) for an input vector (D,) or batch (N, D)."""
-        feats, _ = self.forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if np.asarray(x).ndim == 1:
-            return feats[0]
-        return feats
+        """Features (N, feature_dim) of an input batch (N, D)."""
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Batch forward returning (features, cache) for backward()."""

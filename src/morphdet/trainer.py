@@ -299,15 +299,14 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
     return model, report
 
 
-def extract_features(model: DualModel, image, which: str) -> np.ndarray:
-    """Backbone features (no head) for a single image or flat vector."""
-    if which == "first":
-        backbone = model.first_backbone
-    elif which == "second":
-        backbone = model.second_backbone
-    else:
-        raise ConfigError(f"which must be 'first' or 'second', got {which!r}")
-    return backbone.forward(pixel_features(np.asarray(image, dtype=np.float64).reshape(-1)))
+def extract_features(backbone: MlpBackbone, images) -> np.ndarray:
+    """(N, feature_dim) backbone features (no head) of N images, each raw
+    intensities in [0, 1] of backbone.input_dim pixels, in any shape: one
+    single-row forward per image."""
+    feats = np.empty((len(images), backbone.feature_dim))
+    for row, image in enumerate(images):
+        feats[row] = backbone.forward(pixel_features(np.reshape(image, (1, -1))))[0]
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +337,14 @@ def morph_separation_stat(model: DualModel, records, cache: ImageCache) -> Separ
     if not bona or not morphs:
         raise CoverageError("separation stat needs bona fides and morphs")
 
+    rows_by_id = {}
+    for row, record in enumerate(bona):
+        rows_by_id.setdefault(record.labels.y1, []).append(row)
     ratios = []
-    for which, label_of in (("first", lambda r: r.labels.y1),
-                            ("second", lambda r: r.labels.y2)):
-        feats_by_id = {}
-        for record in bona:
-            feats_by_id.setdefault(record.labels.y1, []).append(
-                extract_features(model, cache.flat(record.relpath), which)
-            )
-        centroids = {i: np.mean(np.stack(f), axis=0) for i, f in feats_by_id.items()}
+    for backbone, label_of in ((model.first_backbone, lambda r: r.labels.y1),
+                               (model.second_backbone, lambda r: r.labels.y2)):
+        feats = extract_features(backbone, [cache.flat(r.relpath) for r in bona + morphs])
+        centroids = {i: np.mean(feats[rows], axis=0) for i, rows in rows_by_id.items()}
         ids = sorted(centroids)
         pair_dists = [
             float(np.linalg.norm(centroids[a] - centroids[b]))
@@ -356,11 +354,10 @@ def morph_separation_stat(model: DualModel, records, cache: ImageCache) -> Separ
         if scale < 1e-12:
             return SeparationStat(0.0, 0.0, degenerate=True)
         dists = []
-        for record in morphs:
+        for record, feat in zip(morphs, feats[len(bona):]):
             target = label_of(record)
             if target not in centroids:
                 raise CoverageError(f"no bona fide samples for identity {target}")
-            feat = extract_features(model, cache.flat(record.relpath), which)
             dists.append(float(np.linalg.norm(feat - centroids[target])))
         ratios.append(float(np.mean(dists)) / scale)
     return SeparationStat(ratios[0], ratios[1])
@@ -515,10 +512,8 @@ def load_identity_model(path):
     return backbone, head, meta
 
 
-def identity_similarity(backbone: MlpBackbone, image_a, image_b) -> float:
-    """Cosine feature similarity mapped to [0, 1]."""
-    fa = backbone.forward(pixel_features(np.asarray(image_a, dtype=np.float64).reshape(-1)))
-    fb = backbone.forward(pixel_features(np.asarray(image_b, dtype=np.float64).reshape(-1)))
+def identity_similarity(fa, fb) -> float:
+    """Cosine similarity of two identity-classifier features mapped to [0, 1]."""
     na = float(np.linalg.norm(fa))
     nb = float(np.linalg.norm(fb))
     if na < 1e-12 or nb < 1e-12:

@@ -141,7 +141,7 @@ def bench(tmp_path_factory):
             models[(seed, variant)] = model
             for fam, entries in protocols.items():
                 scores, excluded = evalbench.score_protocol(
-                    model, entries, str(root), cache)
+                    model, entries, cache)
                 assert not excluded
                 values, is_attack = evalbench.align_scores(entries, scores)
                 apcer[(seed, variant, fam)], _ = evalbench.apcer_at_bpcer(
@@ -160,9 +160,9 @@ def bench(tmp_path_factory):
         fr_backbones[seed] = backbone
         for fam, entries in protocols.items():
             scores, _ = evalbench.score_protocol(
-                models[(seed, "fc-v2")], entries, str(root), cache)
+                models[(seed, "fc-v2")], entries, cache)
             sims, excluded = evalbench.fr_similarities(
-                backbone, entries, str(root), cache)
+                backbone, entries, cache)
             assert not excluded
             fused = evalbench.fuse_score_lists(
                 scores, sims, evalbench.FUSE_DISSIMILARITY)

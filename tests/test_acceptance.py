@@ -366,13 +366,13 @@ def test_criterion_10_checkpoint_round_trip(bench, tmp_path):
     model = bench.models[(BENCH["train_seeds"][0], "fc-v2")]
     probe = bench.protocols[BENCH["heldout_family"]][:100]
     assert len(probe) == 100
-    before, excluded = evalbench.score_protocol(model, probe, bench.root, bench.cache)
+    before, excluded = evalbench.score_protocol(model, probe, bench.cache)
     assert not excluded
 
     path = tmp_path / "roundtrip.mdck"
     trainer.save_model(path, model, seed=0)
     loaded, _meta = trainer.load_model(path)
-    after, excluded = evalbench.score_protocol(loaded, probe, bench.root, bench.cache)
+    after, excluded = evalbench.score_protocol(loaded, probe, bench.cache)
     assert not excluded
 
     identical = before == after

@@ -6,6 +6,7 @@ the comparison report. Reruns must be byte-identical.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -340,3 +341,50 @@ def test_eval_surfaces_exclusions(pipeline, tmp_path, capsys):
     assert "excluded x9999" in captured.err
     # scored entries still produced a usable report before the failure exit
     assert (tmp_path / "excl" / "scores.tsv").is_file()
+
+
+@pytest.mark.parametrize("case", ["image-size", "empty-data-dir", "fr-image-size"])
+def test_eval_excludes_the_pairs_it_cannot_score(pipeline, tmp_path, capsys, case):
+    from morphdet.evalbench import read_protocol, read_scores
+
+    protocol = pipeline["data"] / "protocol-landmark.tsv"
+    entries = read_protocol(protocol)
+    data, fr = pipeline["data"], pipeline["train"] / "fr.mdck"
+    every_pair = [e.pair_id for e in entries]
+    if case == "image-size":  # an 8-px morph in the 16-px dataset
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        spoiled = entries[-1].path_a
+        (data / spoiled).write_bytes(_SMALL_IMAGE)
+        excluded = [e.pair_id for e in entries if spoiled in (e.path_a, e.path_b)]
+        detector_kept = fr_kept = [p for p in every_pair if p not in excluded]
+    elif case == "empty-data-dir":
+        data = tmp_path / "empty"
+        data.mkdir()
+        excluded, detector_kept, fr_kept = every_pair, [], []
+    else:  # an identity classifier of 24-px images
+        small = tmp_path / "small"
+        assert run(["gen-data", "--data-dir", small, "--seed", 3, "--n-identities", 6,
+                    "--images-per-identity", 3, "--image-size", 24]) == 0
+        assert run(["train-fr", "--data-dir", small, "--out-dir", small, "--seed", 3,
+                    "--epochs", 1, "--batch-size", 6] + NET_FLAGS) == 0
+        fr = small / "fr.mdck"
+        excluded, detector_kept, fr_kept = every_pair, every_pair, []
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["eval", "--data-dir", data, "--out-dir", out,
+                "--checkpoint", pipeline["train"] / "checkpoint.mdck",
+                "--protocol", protocol, "--fr-checkpoint", fr]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("excluded ")]
+    assert [line.split()[1].rstrip(":") for line in lines] == excluded
+    assert f"error: {len(excluded)} protocol entries could not be scored" in err
+    if case == "image-size":
+        assert all(spoiled in line and "image of 64 pixels" in line for line in lines)
+    if case == "fr-image-size":
+        assert all("the network takes 576" in line for line in lines)
+    # the pairs every scorer kept are scored, fused and measured
+    assert [p for p, _ in read_scores(out / "scores.tsv")] == detector_kept
+    assert [p for p, _ in read_scores(out / "scores_fused.tsv")] == fr_kept
+    assert (out / "metrics.csv").is_file() == bool(fr_kept)

@@ -39,8 +39,8 @@ from morphdet.evalbench import (
     write_scores,
 )
 from morphdet.fusedloss import KIND_MORPH_LATENT, KIND_MORPH_LM
-from morphdet.nncore import SgdConfig
-from morphdet.trainer import train_identity_classifier
+from morphdet.nncore import MlpBackbone, SgdConfig
+from morphdet.trainer import ImageCache, train_identity_classifier
 
 
 def oracle_operating_point(scores, is_attack, delta):
@@ -270,25 +270,68 @@ def test_align_scores_orders_and_validates(tiny_protocol):
             align_scores(tiny_protocol, spoiled)
 
 
+@pytest.fixture(scope="module")
+def fr_backbone(tiny_corpus):
+    backbone, _, _ = train_identity_classifier(
+        tiny_corpus.root, tiny_corpus.bonafides, 6,
+        SgdConfig(epochs=1, batch_size=6), 0, hidden_dims=(16,), feature_dim=8)
+    return backbone
+
+
 def test_score_protocol_reports_exclusions(tiny_corpus, tiny_protocol, tiny_model):
     broken = list(tiny_protocol) + [
         ProtocolEntry("x0001", "images/absent.pgm", tiny_protocol[0].path_b, GT_MORPH)
     ]
-    scores, exclusions = score_protocol(tiny_model, broken, tiny_corpus.root)
+    scores, exclusions = score_protocol(tiny_model, broken, ImageCache(tiny_corpus.root))
     assert len(scores) == len(tiny_protocol)
     assert [pair for pair, _ in exclusions] == ["x0001"]
+    assert "absent.pgm" in exclusions[0][1]
     assert all(0.0 < s < 1.0 for _, s in scores)
     assert [pair for pair, _ in scores] == [e.pair_id for e in tiny_protocol]
 
 
-def test_fr_similarities_cover_the_protocol(tiny_corpus, tiny_protocol):
-    backbone, _, _ = train_identity_classifier(
-        tiny_corpus.root, tiny_corpus.bonafides, 6,
-        SgdConfig(epochs=1, batch_size=6), 0, hidden_dims=(16,), feature_dim=8)
-    sims, exclusions = fr_similarities(backbone, tiny_protocol, tiny_corpus.root)
+def test_fr_similarities_cover_the_protocol(tiny_corpus, tiny_protocol, fr_backbone):
+    sims, exclusions = fr_similarities(fr_backbone, tiny_protocol, ImageCache(tiny_corpus.root))
     assert not exclusions
     assert len(sims) == len(tiny_protocol)
     assert all(0.0 <= s <= 1.0 for _, s in sims)
+
+
+def test_a_protocol_subset_scores_as_within_the_full_protocol(
+        tiny_corpus, tiny_protocol, tiny_model, fr_backbone):
+    subset = tiny_protocol[1::3]
+    ids = {e.pair_id for e in subset}
+    for scorer, network in ((score_protocol, tiny_model), (fr_similarities, fr_backbone)):
+        full, _ = scorer(network, tiny_protocol, ImageCache(tiny_corpus.root))
+        part, _ = scorer(network, subset, ImageCache(tiny_corpus.root))
+        assert part == [(pair_id, score) for pair_id, score in full if pair_id in ids]
+
+
+def test_each_image_goes_through_each_network_once(
+        tiny_corpus, tiny_protocol, tiny_model, fr_backbone, monkeypatch):
+    calls = []  # (backbone, rows) per forward
+    forward_cached = MlpBackbone.forward_cached
+
+    def counted(backbone, x):
+        calls.append((backbone, len(x)))
+        return forward_cached(backbone, x)
+
+    monkeypatch.setattr(MlpBackbone, "forward_cached", counted)
+    suspects = {e.path_a for e in tiny_protocol}
+    trusted = {e.path_b for e in tiny_protocol}
+    assert suspects & trusted  # some image is on both sides
+    cache = ImageCache(tiny_corpus.root)
+
+    score_protocol(tiny_model, tiny_protocol, cache)
+    assert all(rows == 1 for _backbone, rows in calls)
+    networks = [backbone for backbone, _rows in calls]
+    assert networks.count(tiny_model.first_backbone) == len(suspects)
+    assert networks.count(tiny_model.second_backbone) == len(trusted)
+    assert len(calls) == len(suspects) + len(trusted)
+
+    calls.clear()
+    fr_similarities(fr_backbone, tiny_protocol, cache)
+    assert calls == [(fr_backbone, 1)] * len(suspects | trusted)
 
 
 def test_fusion_math_and_validation():

@@ -53,7 +53,7 @@ def test_forward_matches_scalar_reference():
     for trial in range(5):
         x = rng.normal(size=7)
         expected = scalar_reference_forward(backbone, x)
-        assert np.allclose(backbone.forward(x), expected, rtol=0, atol=1e-12)
+        assert np.allclose(backbone.forward(x[None]), expected[None], rtol=0, atol=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -62,7 +62,7 @@ def test_forward_batch_matches_single():
     batch = rng.normal(size=(4, 6))
     feats = backbone.forward(batch)
     for i in range(4):
-        assert np.allclose(feats[i], backbone.forward(batch[i]), atol=1e-12)
+        assert np.allclose(feats[i:i + 1], backbone.forward(batch[i:i + 1]), atol=1e-12)
 
 
 def test_backbone_backward_matches_finite_differences():
@@ -331,9 +331,11 @@ def test_backbone_shape_validation():
         MlpBackbone.build([4, 0, 2], rng)
     backbone = MlpBackbone.build([4, 3], rng)
     with pytest.raises(ShapeError):
-        backbone.forward(np.zeros(5))
+        backbone.forward(np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        backbone.forward(np.zeros(4))
     with pytest.raises(NumericError):
-        backbone.forward(np.array([np.inf, 0.0, 0.0, 0.0]))
+        backbone.forward(np.array([[np.inf, 0.0, 0.0, 0.0]]))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

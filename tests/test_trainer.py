@@ -159,7 +159,8 @@ def _tiny_protocol(corpus):
 
 def test_scores_are_probabilities(tiny_corpus, tiny_training):
     _, model, _ = tiny_training
-    scores, exclusions = score_protocol(model, _tiny_protocol(tiny_corpus), tiny_corpus.root)
+    scores, exclusions = score_protocol(model, _tiny_protocol(tiny_corpus),
+                                        ImageCache(tiny_corpus.root))
     assert exclusions == [] and [pair_id for pair_id, _ in scores] == ["m0", "b0"]
     assert all(0.0 < score < 1.0 for _, score in scores)
 
@@ -175,8 +176,8 @@ def test_model_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_corpus, tiny_tr
     for pa, pb in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(pa, pb)
     entries = _tiny_protocol(tiny_corpus)
-    assert score_protocol(model, entries, tiny_corpus.root) == \
-        score_protocol(loaded, entries, tiny_corpus.root)
+    cache = ImageCache(tiny_corpus.root)
+    assert score_protocol(model, entries, cache) == score_protocol(loaded, entries, cache)
 
 
 def test_checkpoint_kinds_do_not_cross(tmp_path, tiny_training):
@@ -282,12 +283,16 @@ def test_checkpoint_heads_must_fit_the_meta(tmp_path, tiny_training):
 
 def test_extract_features_validation(tiny_training):
     _, model, _ = tiny_training
-    image = np.zeros(256)
-    assert extract_features(model, image, "first").shape == (8,)
-    with pytest.raises(ConfigError):
-        extract_features(model, image, "suspect")
+    backbone = model.first_backbone
+    images = [np.full(256, 0.25), np.full((16, 16), 0.75)]
+    feats = extract_features(backbone, images)
+    assert feats.shape == (2, 8)
+    for feat, image in zip(feats, images):
+        row = pixel_features(np.reshape(image, (1, 256)))
+        assert np.array_equal(feat, backbone.forward(row)[0])
+    assert extract_features(backbone, []).shape == (0, 8)
     with pytest.raises(ShapeError):
-        extract_features(model, np.zeros(100), "first")
+        extract_features(backbone, [np.zeros(100)])
 
 
 def test_separation_stat_on_an_untrained_model(tiny_corpus):
@@ -374,15 +379,18 @@ def test_identity_similarity_bounds(tiny_corpus):
         tiny_corpus.root, tiny_corpus.bonafides, 6,
         SgdConfig(epochs=1, batch_size=6), 0, **SMALL)
     cache = ImageCache(tiny_corpus.root)
-    a = cache.flat(tiny_corpus.bonafides[0].relpath)
-    b = cache.flat(tiny_corpus.bonafides[1].relpath)
-    assert abs(identity_similarity(backbone, a, a) - 1.0) <= 1e-12
-    sim = identity_similarity(backbone, a, b)
+    fa, fb = extract_features(backbone, [cache.flat(r.relpath) for r in tiny_corpus.bonafides[:2]])
+    assert abs(identity_similarity(fa, fa) - 1.0) <= 1e-12
+    assert abs(identity_similarity(fa, -fa)) <= 1e-12
+    sim = identity_similarity(fa, fb)
     assert 0.0 <= sim <= 1.0
+    assert identity_similarity(fb, fa) == sim
 
 
 def test_identity_similarity_rejects_zero_features():
-    layers = [Layer(np.zeros((3, 4)), np.zeros(3), "linear")]
-    backbone = MlpBackbone(layers)
+    backbone = MlpBackbone([Layer(np.zeros((3, 4)), np.zeros(3), "linear")])
+    fa, fb = extract_features(backbone, [np.zeros(4), np.ones(4)])
     with pytest.raises(NumericError):
-        identity_similarity(backbone, np.zeros(4), np.ones(4))
+        identity_similarity(fa, fb)
+    with pytest.raises(NumericError):
+        identity_similarity(np.ones(3), fb)
