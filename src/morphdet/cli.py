@@ -352,30 +352,46 @@ def cmd_compare(args) -> int:
 
 def _gradient_error(units, loss_of):
     """finite_diff_check over the packed parameters of units (at most 2000);
-    loss_of(grad_views) returns the loss and writes its gradients there."""
+    loss_of(grad_views, live_rows) returns the loss and writes its gradients
+    there. The gradient starts as NaN, so a row that backward skips and
+    fails to clear shows as a non-finite gradient."""
     params, grad, grad_views = nncore.pack_parameters(units)
     if params.size > 2000:
         raise ConfigError(f"selftest model too large: {params.size} parameters")
+    grad[...] = np.nan
+    live_rows = nncore.LiveRows()
 
     def loss_and_grad(theta):
         params[...] = theta
-        return loss_of(grad_views), grad.copy()
+        return loss_of(grad_views, live_rows), grad.copy()
 
     return nncore.finite_diff_check(loss_and_grad, params.copy())
 
 
+# The first-layer units left able to fire in the dead-unit cases: a partly
+# dead layer and a layer with one live unit, the paths of
+# nncore.LiveRows.weight_gradient besides the all-live one.
+DEAD_UNIT_CASES = ((0, 1, 2, 3), (0,))
+
+
+def _silence_units(backbone, live_units) -> None:
+    """Give every first-layer unit outside live_units (None: all stay) a
+    bias that no selftest input overcomes, so that it never fires."""
+    if live_units is not None:
+        dead = np.ones(backbone.layers[0].biases.size, dtype=bool)
+        dead[list(live_units)] = False
+        backbone.layers[0].biases[dead] = -1e3
+
+
 def selftest_gradients(variant: str, seed: int = 7):
     """Max relative error between analytic and central-difference gradients
-    of the full fused loss on a small seeded dual model, computed by the same
-    trainer.loss_and_grads that training runs, over the model's packed
-    parameter vector."""
+    of the full fused loss on a small seeded dual model, computed by the
+    same trainer.loss_and_grads that training runs, over the model's packed
+    parameter vector: with every hidden unit alive, then with the first
+    backbone partly dead and the second down to one live unit."""
     rng = derive_rng(seed, 999, fusedloss.VARIANTS.index(variant))
     num_classes = 3
     batch = 6
-    model = trainer.build_dual_model(
-        input_dim=20, hidden_dims=(8,), feature_dim=6,
-        num_classes=num_classes, variant=variant, seed=seed,
-    )
     x1 = rng.normal(size=(batch, 20))
     x2 = rng.normal(size=(batch, 20))
     kinds = [fusedloss.KIND_MORPH_LM if i % 2 else fusedloss.KIND_BONAFIDE
@@ -393,21 +409,35 @@ def selftest_gradients(variant: str, seed: int = 7):
     batch_arrays = (x1, x2, np.array(first_classes), np.array(second_classes),
                     np.array(t, dtype=np.float64))
     weights = fusedloss.LossWeights.for_variant(variant)
-    return _gradient_error(model.units(), lambda views: trainer.loss_and_grads(
-        model, batch_arrays, weights, views).total)
+    errors = []
+    for first_live, second_live in ((None, None), DEAD_UNIT_CASES):
+        model = trainer.build_dual_model(
+            input_dim=20, hidden_dims=(8,), feature_dim=6,
+            num_classes=num_classes, variant=variant, seed=seed,
+        )
+        _silence_units(model.first_backbone, first_live)
+        _silence_units(model.second_backbone, second_live)
+        errors.append(_gradient_error(model.units(), lambda views, live_rows: (
+            trainer.loss_and_grads(model, batch_arrays, weights, views, live_rows).total)))
+    return max(errors)
 
 
 def selftest_identity_gradients(seed: int = 7):
     """Max relative error between analytic and central-difference gradients
     of the identity classifier's loss on a small seeded model, computed by
-    the same trainer.identity_loss_and_grads that training runs."""
-    rng = derive_rng(seed, 999, len(fusedloss.VARIANTS))
-    backbone = nncore.MlpBackbone.build([20, 8, 6], rng)
-    head = nncore.ClassifierHead.build(3, 6, rng)
-    x = rng.normal(size=(6, 20))
-    labels = rng.integers(3, size=6)
-    return _gradient_error(backbone.layers + [head], lambda views: trainer.identity_loss_and_grads(
-        backbone, head, x, labels, views))
+    the same trainer.identity_loss_and_grads that training runs: with every
+    hidden unit alive, then in each of DEAD_UNIT_CASES."""
+    errors = []
+    for live_units in (None,) + DEAD_UNIT_CASES:
+        rng = derive_rng(seed, 999, len(fusedloss.VARIANTS))
+        backbone = nncore.MlpBackbone.build([20, 8, 6], rng)
+        head = nncore.ClassifierHead.build(3, 6, rng)
+        x = rng.normal(size=(6, 20))
+        labels = rng.integers(3, size=6)
+        _silence_units(backbone, live_units)
+        errors.append(_gradient_error(backbone.layers + [head], lambda views, live_rows: (
+            trainer.identity_loss_and_grads(backbone, head, x, labels, views, live_rows))))
+    return max(errors)
 
 
 def _oracle_rates(scores, is_attack, tau):

@@ -12,7 +12,10 @@ A model being trained keeps its parameters in one contiguous vector:
 pack_parameters() copies every weight and bias into it and rebinds each
 Layer/ClassifierHead attribute to its view, and hands back a gradient vector
 of the same layout whose views backward() writes into. sgd_step() then runs
-over whole vectors, block by block, without allocating per step.
+over whole vectors, block by block, without allocating per step. backward()
+multiplies out a ReLU layer's weight-gradient rows only for the units that
+fired; a LiveRows record, kept by the gradient's owner, tells it which rows
+of the arrays the last call left non-zero.
 """
 
 import itertools
@@ -120,6 +123,50 @@ class Layer:
             raise ShapeError("layer weight/bias shapes disagree")
 
 
+class LiveRows:
+    """Weight-gradient rows of ReLU units that fired, kept between backward()
+    calls by whoever owns the gradient arrays.
+
+    A unit whose masked gradient column is zero on every batch row has an
+    exactly zero weight-gradient row, and the full product g.T @ a writes it
+    as +0.0. weight_gradient() multiplies out only the other rows, so every
+    row it skips must already hold +0.0. For each array it wrote (matched with
+    `is`, and held here, so that the match cannot be a reused object) this
+    record keeps the rows the last write may have left non-zero; the next
+    write clears just those that are now dead. An array it does not know is
+    first cleared of every dead row. Nothing else may write those arrays
+    between two calls.
+    """
+
+    def __init__(self):
+        self._written = []  # [array, rows it may hold non-zero]
+        self._scratch = np.empty(0)  # the live-row product, sized to the largest array
+
+    def weight_gradient(self, g: np.ndarray, a_in: np.ndarray, dw: np.ndarray) -> None:
+        """dw = g.T @ a_in, bit for bit, with the rows of zero columns of g
+        not multiplied out."""
+        fired = g.any(axis=0)
+        live = np.flatnonzero(fired)
+        entry = next((entry for entry in self._written if entry[0] is dw), None)
+        if entry is None:  # an array not written here may hold anything in any row
+            entry = [dw, np.arange(fired.size)]
+            self._written.append(entry)
+        # All rows, or one: NumPy takes a vector path for a single row, whose
+        # sums need not match the GEMM's.
+        if live.size in (1, fired.size):
+            np.matmul(g.T, a_in, out=dw)
+        else:
+            written = entry[1]
+            dw[written[~fired[written]]] = 0.0  # rows this array may hold that are dead now
+            if live.size:
+                if self._scratch.size < live.size * a_in.shape[1]:
+                    self._scratch = np.empty(dw.size)
+                product = self._scratch[: live.size * a_in.shape[1]].reshape(live.size, -1)
+                np.matmul(g[:, live].T, a_in, out=product)
+                dw[live] = product
+        entry[1] = live
+
+
 class MlpBackbone:
     """Fully connected feature extractor; the final feature layer is linear."""
 
@@ -171,25 +218,29 @@ class MlpBackbone:
             raise NumericError("non-finite activation in backbone forward pass")
         return a, cache
 
-    def backward(self, cache, dfeat: np.ndarray, out=None):
+    def backward(self, cache, dfeat: np.ndarray, out, live_rows: LiveRows):
         """Gradients for all layer parameters given d(loss)/d(features).
 
-        Returns the list [dW0, db0, dW1, db1, ...] matching parameters(). With
-        `out` (arrays of those shapes, e.g. gradient views from
-        pack_parameters) the gradients are written into it and it is returned.
+        Writes [dW0, db0, dW1, db1, ...], matching parameters(), into `out`
+        (arrays of those shapes, e.g. gradient views from pack_parameters)
+        and returns it. A ReLU layer's weight gradient goes through
+        live_rows.weight_gradient, which multiplies out only the rows of units
+        that fired; live_rows is the record of what earlier calls left in
+        those arrays (a new LiveRows() for arrays of unknown content).
         """
-        grads = out if out is not None else [np.empty_like(p) for p in self.parameters()]
         g = np.asarray(dfeat, dtype=np.float64)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             a_in, z = cache[k]
             if layer.activation == "relu":
                 g = g * (z > 0)
-            np.matmul(g.T, a_in, out=grads[2 * k])
-            np.sum(g, axis=0, out=grads[2 * k + 1])
+                live_rows.weight_gradient(g, a_in, out[2 * k])
+            else:
+                np.matmul(g.T, a_in, out=out[2 * k])
+            np.sum(g, axis=0, out=out[2 * k + 1])
             if k > 0:
                 g = g @ layer.weights
-        return grads
+        return out
 
     def parameters(self):
         """Live parameter arrays in the order mirrored by backward()."""

@@ -10,7 +10,9 @@ That loop (_fit) packs a model's parameters into one vector
 (nncore.pack_parameters) and runs epochs * floor(records / batch) steps. Each
 step calls the model's objective, which writes the gradient views:
 loss_and_grads for the dual model, identity_loss_and_grads for the identity
-classifier. Then one SGD-with-momentum call updates the whole vector. The
+classifier. The loop also owns the views' nncore.LiveRows record, so that
+each backward clears only the weight-gradient rows the previous one left
+non-zero. Then one SGD-with-momentum call updates the whole vector. The
 learning rate decays linearly across the planned step count. Reports are
 per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`. Both models are saved and
 loaded through one checkpoint writer and one reader, keyed by model kind.
@@ -48,6 +50,7 @@ from .fusedloss import (
 from .nncore import (
     ClassifierHead,
     Layer,
+    LiveRows,
     MlpBackbone,
     SgdConfig,
     pack_parameters,
@@ -176,14 +179,16 @@ def build_dual_model(input_dim: int, hidden_dims, feature_dim: int,
                      variant, num_classes)
 
 
-def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_views):
+def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_views,
+                   live_rows: LiveRows):
     """Fused loss of one batch; writes its gradients into grad_views.
 
     batch_arrays is (suspects, trusted, first_classes, second_classes, t),
     the two networks' input rows, head classes and the cross labels;
     grad_views are the gradient views returned by
-    pack_parameters(model.units()). Gradients are written only when the total
-    loss is finite. Returns the BatchLossBreakdown.
+    pack_parameters(model.units()), and live_rows their record (see
+    MlpBackbone.backward). Gradients are written only
+    when the total loss is finite. Returns the BatchLossBreakdown.
     """
     suspects, trusted, first_classes, second_classes, t = batch_arrays
     first_feats, first_cache = model.first_backbone.forward_cached(suspects)
@@ -196,21 +201,22 @@ def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_vi
         # each network's views: its backbone's [dW0, db0, ...], then its head's two
         n = len(model.first_backbone.parameters()) + 2
         first, second = grad_views[:n], grad_views[n:]
-        model.first_backbone.backward(first_cache, grads.d_first_feats, out=first[:-2])
+        model.first_backbone.backward(first_cache, grads.d_first_feats, first[:-2], live_rows)
         first[-2][...] = grads.d_first_weights
         first[-1][...] = grads.d_first_biases
-        model.second_backbone.backward(second_cache, grads.d_second_feats, out=second[:-2])
+        model.second_backbone.backward(second_cache, grads.d_second_feats, second[:-2],
+                                       live_rows)
         second[-2][...] = grads.d_second_weights
         second[-1][...] = grads.d_second_biases
     return breakdown
 
 
 def identity_loss_and_grads(backbone: MlpBackbone, head: ClassifierHead, x, labels,
-                            grad_views) -> float:
+                            grad_views, live_rows: LiveRows) -> float:
     """Mean softmax cross-entropy of one identity-classifier batch of
     pixel_features rows x; writes its gradients into grad_views, those of
-    pack_parameters(backbone.layers + [head]), when the loss is finite.
-    Returns the loss.
+    pack_parameters(backbone.layers + [head]) with their record live_rows,
+    when the loss is finite. Returns the loss.
     """
     feats, fwd_cache = backbone.forward_cached(x)
     losses, dlogits = softmax_cross_entropy_batch(head.logits(feats), labels)
@@ -219,7 +225,7 @@ def identity_loss_and_grads(backbone: MlpBackbone, head: ClassifierHead, x, labe
         dlogits = dlogits / len(labels)
         np.matmul(dlogits.T, feats, out=grad_views[-2])
         np.sum(dlogits, axis=0, out=grad_views[-1])
-        backbone.backward(fwd_cache, dlogits @ head.weights, out=grad_views[:-2])
+        backbone.backward(fwd_cache, dlogits @ head.weights, grad_views[:-2], live_rows)
     return loss
 
 
@@ -236,14 +242,24 @@ def _fit(units, sgd: SgdConfig, objective, seed: int, variant: str, **echo) -> T
     """The SGD loop both models train with, over sgd from _schedule.
 
     units are the model's layers and heads in parameter order.
-    objective(step, grad_views) writes one batch's gradients into grad_views
-    and returns its (l1, l2, l3, total, t_ratio), or raises NumericError.
+    objective(step, grad_views, live_rows) writes one batch's gradients into
+    grad_views, with live_rows their LiveRows record, and returns its
+    (l1, l2, l3, total, t_ratio), or raises NumericError, which is re-raised
+    with the last good step's report row.
     """
     params, grad, grad_views = pack_parameters(units)
+    live_rows = LiveRows()
     velocity = np.zeros_like(params)
     records = []
     for step in range(sgd.total_steps):
-        losses = objective(step, grad_views)
+        try:
+            losses = objective(step, grad_views, live_rows)
+        except NumericError as exc:
+            if not records:
+                raise
+            last = records[-1]
+            raise NumericError(f"{exc}; last good step {last.step}: lr {last.lr:.9g}, "
+                               f"l1 {last.l1:.9g}, l2 {last.l2:.9g}, l3 {last.l3:.9g}") from exc
         lr = sgd.learning_rate(step)
         sgd_step([params], [grad], [velocity], step, sgd)
         records.append(TrainRecord(step, lr, *losses))
@@ -278,13 +294,13 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
                              num_classes, variant, seed)
     weights = LossWeights.for_variant(variant, pair_weight)
 
-    def objective(step, grad_views):
+    def objective(step, grad_views, live_rows):
         suspects, trusted = sample_batch(rows, sgd.batch_size, seed, step)
         batch_arrays = (_inputs(pixels, suspect_image[suspects]),
                         _inputs(pixels, trusted_image[trusted]),
                         first_classes[suspects], second_classes[trusted],
                         (suspect_y2[suspects] != trusted_y2[trusted]).astype(np.float64))
-        breakdown = loss_and_grads(model, batch_arrays, weights, grad_views)
+        breakdown = loss_and_grads(model, batch_arrays, weights, grad_views, live_rows)
         if not np.isfinite(breakdown.total):
             head = rows.pairs(suspects[:5], trusted[:5])
             raise NumericError(
@@ -485,11 +501,11 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
     )
     head = ClassifierHead.build(num_classes, feature_dim, derive_rng(seed, INIT_STREAM, 11))
 
-    def objective(step, grad_views):
+    def objective(step, grad_views, live_rows):
         rng = derive_rng(seed, FR_BATCH_STREAM, step)
         picks = rng.integers(len(records), size=sgd.batch_size)
         loss = identity_loss_and_grads(backbone, head, _inputs(pixels, image_row[picks]),
-                                       labels[picks], grad_views)
+                                       labels[picks], grad_views, live_rows)
         if not np.isfinite(loss):
             raise NumericError(f"identity classifier diverged at step {step}")
         return loss, 0.0, 0.0, loss, 0.0

@@ -64,6 +64,22 @@ def build_corpus(root, seed, n_identities, images_per_identity, image_size):
                         cross_pairs, config)
 
 
+def full_product_backward(backbone, cache, dfeat, out, live_rows=None):
+    """MlpBackbone.backward with every weight gradient the full product
+    g.T @ a: the oracle of the live-row path, in the method's signature so
+    that a test can patch it in."""
+    g = dfeat
+    for k in range(len(backbone.layers) - 1, -1, -1):
+        a_in, z = cache[k]
+        if backbone.layers[k].activation == "relu":
+            g = g * (z > 0)
+        np.matmul(g.T, a_in, out=out[2 * k])
+        np.sum(g, axis=0, out=out[2 * k + 1])
+        if k > 0:
+            g = g @ backbone.layers[k].weights
+    return out
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny_corpus")

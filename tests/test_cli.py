@@ -13,7 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from morphdet.cli import main, selftest_identity_gradients
+from morphdet import cli, fusedloss
+from morphdet.cli import main, selftest_gradients, selftest_identity_gradients
+from morphdet.nncore import LiveRows
 
 SIZE_FLAGS = ["--image-size", "16"]
 DATA_FLAGS = ["--n-identities", "6", "--images-per-identity", "3"] + SIZE_FLAGS
@@ -214,6 +216,32 @@ def test_selftest_command(capsys):
 
 def test_identity_gradient_check_passes():
     assert selftest_identity_gradients() < 1e-4
+
+
+def test_gradient_checks_reach_the_live_row_paths(monkeypatch):
+    """Each check has a case in which all 8 hidden units of a layer fire, one
+    with 2 <= live < 8 and one with exactly one, and every case passes."""
+    fired, errors = set(), []
+    weight_gradient, gradient_error = LiveRows.weight_gradient, cli._gradient_error
+
+    def counting(self, g, a_in, dw):
+        fired.add(int(np.count_nonzero(g.any(axis=0))))
+        weight_gradient(self, g, a_in, dw)
+
+    def recording(units, loss_of):
+        errors.append(gradient_error(units, loss_of))
+        return errors[-1]
+
+    monkeypatch.setattr(LiveRows, "weight_gradient", counting)
+    monkeypatch.setattr(cli, "_gradient_error", recording)
+    checks = [(selftest_identity_gradients, (), 3)] + [
+        (selftest_gradients, (variant,), 2) for variant in fusedloss.VARIANTS]
+    for check, args, n_cases in checks:
+        fired.clear()
+        errors.clear()
+        assert check(*args) == max(errors)
+        assert len(errors) == n_cases and max(errors) < 1e-4
+        assert {8, 1} <= fired and any(2 <= count < 8 for count in fired)
 
 
 _MANIFEST = "images/a.pgm\t0\tbonafide\nimages/b.pgm\t1\tbonafide\n"

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_product_backward
 from morphdet.errors import ConfigError, DataError, NumericError, ShapeError
 from morphdet.nncore import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     ClassifierHead,
     Layer,
+    LiveRows,
     MlpBackbone,
     SGD_BLOCK,
     SgdConfig,
@@ -70,6 +72,7 @@ def test_backbone_backward_matches_finite_differences():
     backbone = MlpBackbone.build([5, 6, 3], rng)
     x = rng.normal(size=(2, 5))
     target = rng.normal(size=(2, 3))
+    _params, _grad, grad_views = pack_parameters(backbone.layers)
     params = backbone.parameters()
     shapes = [p.shape for p in params]
 
@@ -89,7 +92,7 @@ def test_backbone_backward_matches_finite_differences():
         feats, cache = backbone.forward_cached(x)
         diff = feats - target
         loss = 0.5 * float(np.sum(diff * diff))
-        grads = backbone.backward(cache, diff)
+        grads = backbone.backward(cache, diff, grad_views, LiveRows())
         flat = np.concatenate([g.reshape(-1) for g in grads])
         for p, v in zip(params, saved):
             p[...] = v
@@ -104,9 +107,10 @@ def test_relu_gate_uses_preactivation_sign():
     layer = Layer(np.array([[-1.0]]), np.array([0.0]), "relu")
     feature = Layer(np.array([[1.0]]), np.array([0.0]), "linear")
     backbone = MlpBackbone([layer, feature])
+    _params, _grad, grad_views = pack_parameters(backbone.layers)
     feats, cache = backbone.forward_cached(np.array([[2.0]]))
     assert feats[0, 0] == 0.0
-    grads = backbone.backward(cache, np.array([[1.0]]))
+    grads = backbone.backward(cache, np.array([[1.0]]), grad_views, LiveRows())
     assert grads[0][0, 0] == 0.0  # gradient blocked by the dead relu
 
 
@@ -297,16 +301,92 @@ def test_pack_parameters_rebinds_every_array_to_a_view():
     assert backbone.layers[0].weights[0, 0] == 42.0
 
 
+def bits(arrays):
+    """The bytes of float64 arrays as uint64, so that -0.0 differs from +0.0."""
+    return np.concatenate([np.ascontiguousarray(a).reshape(-1) for a in arrays]).view(np.uint64)
+
+
+def full_product_bits(backbone, cache, dfeat):
+    out = [np.empty_like(p) for p in backbone.parameters()]
+    return bits(full_product_backward(backbone, cache, dfeat, out))
+
+
 def test_backward_writes_into_gradient_views():
     rng = np.random.default_rng(9)
     backbone = MlpBackbone.build([5, 6, 3], rng)
     x = rng.normal(size=(4, 5))
     dfeat = rng.normal(size=(4, 3))
-    _feats, cache = backbone.forward_cached(x)
-    fresh = backbone.backward(cache, dfeat)
     _params, grad, grad_views = pack_parameters(backbone.layers)
-    assert backbone.backward(cache, dfeat, out=grad_views) is grad_views
-    assert np.array_equal(grad, np.concatenate([g.reshape(-1) for g in fresh]))
+    _feats, cache = backbone.forward_cached(x)
+    assert backbone.backward(cache, dfeat, grad_views, LiveRows()) is grad_views
+    assert np.array_equal(bits([grad]), full_product_bits(backbone, cache, dfeat))
+
+
+def with_live_units(backbone, n_live, rng):
+    """Set the first-layer biases so that n_live units, drawn at random, fire
+    on inputs in [-1, 1] and the rest fire on none."""
+    biases = backbone.layers[0].biases
+    biases[...] = -1e3
+    biases[rng.permutation(biases.size)[:n_live]] = 3.0
+
+
+def count_fired(cache):
+    return int(np.count_nonzero((cache[0][1] > 0).any(axis=0)))
+
+
+# (batch rows, backbone dims): the desk training shape and a selftest-sized one
+SHAPES = [(28, (1024, 256, 64)), (6, (20, 8, 6))]
+
+
+@pytest.mark.parametrize("batch, dims", SHAPES)
+def test_live_row_weight_gradient_is_the_full_product_bit_for_bit(batch, dims):
+    rng = np.random.default_rng(21)
+    backbone = MlpBackbone.build(dims, rng)
+    _params, grad, grad_views = pack_parameters(backbone.layers)
+    x = rng.uniform(-1.0, 1.0, size=(batch, dims[0]))
+    for n_live in range(dims[1] + 1):
+        with_live_units(backbone, n_live, rng)
+        dfeat = rng.normal(size=(batch, dims[-1]))
+        _feats, cache = backbone.forward_cached(x)
+        assert count_fired(cache) == n_live
+        grad[...] = 0.0
+        backbone.backward(cache, dfeat, grad_views, LiveRows())
+        assert np.array_equal(bits([grad]), full_product_bits(backbone, cache, dfeat)), n_live
+
+
+@pytest.mark.parametrize("batch, dims", SHAPES)
+def test_backward_into_a_used_or_nan_buffer_writes_the_bytes_of_a_zeroed_one(batch, dims):
+    rng = np.random.default_rng(22)
+    backbone = MlpBackbone.build(dims, rng)
+    x = rng.uniform(-1.0, 1.0, size=(batch, dims[0]))
+    shapes = [p.shape for p in backbone.parameters()]
+    width = dims[1]
+    # live -> dead -> live, the single-row case and back to every unit
+    live_counts = [width, width // 2, 0, 1, 3, 0, width - 1, 2, 1, width, 2]
+
+    def filled(value):
+        return [np.full(shape, value) for shape in shapes]
+
+    kept, kept_record = filled(0.0), LiveRows()  # one buffer and its record, as in training
+    kept_bare = filled(0.0)  # one buffer, a new record each call: it clears every dead row
+    nan_first, nan_record = filled(np.nan), LiveRows()
+    for n_live in live_counts:
+        with_live_units(backbone, n_live, rng)
+        dfeat = rng.normal(size=(batch, dims[-1]))
+        _feats, cache = backbone.forward_cached(x)
+        assert count_fired(cache) == n_live
+        expected = full_product_bits(backbone, cache, dfeat)
+        results = [
+            backbone.backward(cache, dfeat, filled(0.0), LiveRows()),
+            backbone.backward(cache, dfeat, filled(np.nan), LiveRows()),
+            backbone.backward(cache, dfeat, kept, kept_record),
+            backbone.backward(cache, dfeat, kept_bare, LiveRows()),
+            backbone.backward(cache, dfeat, nan_first, nan_record),
+            # the record matches arrays by identity, not by shape or content
+            backbone.backward(cache, dfeat, filled(np.nan), kept_record),
+        ]
+        for k, result in enumerate(results):
+            assert np.array_equal(bits(result), expected), (n_live, k)
 
 
 def test_finite_diff_check_flags_a_wrong_gradient():

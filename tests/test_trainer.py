@@ -1,13 +1,16 @@
 """Dual-network training loop, checkpoints, and the identity classifier."""
 
+import re
+
 import numpy as np
 import pytest
 
+from conftest import build_corpus, full_product_backward
 from morphdet.datamine import assemble_dataset
 from morphdet.evalbench import GT_BONAFIDE, GT_MORPH, ProtocolEntry, score_protocol
 from morphdet.errors import ConfigError, CoverageError, DataError, NumericError, ShapeError
 from morphdet.fusedloss import DualLabels, KIND_MORPH_LM
-from morphdet.nncore import Layer, MlpBackbone, SgdConfig
+from morphdet.nncore import Layer, LiveRows, MlpBackbone, SgdConfig
 from morphdet.trainer import (
     ImageCache,
     build_dual_model,
@@ -19,6 +22,7 @@ from morphdet.trainer import (
     pixel_features,
     save_identity_model,
     save_model,
+    _schedule,
     train,
     train_identity_classifier,
 )
@@ -338,14 +342,88 @@ def test_training_rejects_undersized_corpus(tiny_corpus):
               6, SgdConfig(epochs=1, batch_size=1000), "bc", 0, **SMALL)
 
 
+LAST_GOOD = re.compile(r"last good step (\d+): lr (\S+), l1 (\S+), l2 (\S+), l3 (\S+)$")
+
+
+def _last_good_step(message, sgd):
+    """The step the divergence message names as the last good one, after
+    checking that its lr is the schedule's and its losses are finite."""
+    match = LAST_GOOD.search(message)
+    assert match, message
+    step = int(match.group(1))
+    assert match.group(2) == f"{sgd.learning_rate(step):.9g}"
+    assert np.isfinite([float(match.group(k)) for k in (3, 4, 5)]).all()
+    return step
+
+
 def test_divergence_raises_a_numeric_error(tiny_corpus):
     corpus = assemble_dataset(tiny_corpus.bonafides, tiny_corpus.selfmorphs,
                               tiny_corpus.morphs, 0)
     wild = SgdConfig(epochs=2, batch_size=7, lr_start=1e8, lr_end=1e7)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match="diverged"):
-            train(tiny_corpus.root, corpus, tiny_corpus.bonafides,
-                  tiny_corpus.plan, 6, wild, "fc-v1", 0, **SMALL)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged") as raised:
+        train(tiny_corpus.root, corpus, tiny_corpus.bonafides,
+              tiny_corpus.plan, 6, wild, "fc-v1", 0, **SMALL)
+    message = str(raised.value)
+    failed = int(re.search(r"diverged at step (\d+)", message).group(1))
+    assert _last_good_step(message, _schedule(wild, len(corpus), "corpus")) == failed - 1
+
+
+def test_an_identity_classifier_divergence_names_the_last_good_step(tiny_corpus):
+    wild = SgdConfig(epochs=20, batch_size=6, lr_start=1e8, lr_end=1e7)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as raised:
+        train_identity_classifier(tiny_corpus.root, tiny_corpus.bonafides, 6, wild, 0, **SMALL)
+    message = str(raised.value)
+    assert "non-finite" in message or "diverged" in message
+    assert _last_good_step(message, _schedule(wild, len(tiny_corpus.bonafides), "set")) >= 0
+
+
+@pytest.fixture(scope="module")
+def desk_shaped_corpus(tmp_path_factory):
+    """32 px images, so the networks have the desk shape: 1024 inputs."""
+    return build_corpus(tmp_path_factory.mktemp("desk_shaped"), 3, 6, 4, 32)
+
+
+DESK_NET = dict(hidden_dims=(256,), feature_dim=64)
+
+
+def _train_desk_shaped(corpus, model):
+    """30 steps of the detector (batch 28) or the identity classifier (batch
+    24); returns the trained parameters and the report."""
+    if model == "identity":
+        sgd = SgdConfig(epochs=30, batch_size=24)  # 24 bona fides: one step per epoch
+        backbone, head, report = train_identity_classifier(
+            corpus.root, corpus.bonafides, 6, sgd, 0, **DESK_NET)
+        return backbone.parameters() + head.parameters(), report
+    records = assemble_dataset(corpus.bonafides, corpus.selfmorphs, corpus.morphs, 0)
+    sgd = SgdConfig(epochs=10, batch_size=28)  # 96 records: three steps per epoch
+    dual, report = train(corpus.root, records, corpus.bonafides, corpus.plan, 6, sgd,
+                         "fc-v2", 0, pair_weight=0.25, **DESK_NET)
+    return dual.parameters(), report
+
+
+@pytest.mark.parametrize("model", ["detector", "identity"])
+def test_live_row_training_matches_full_product_training(desk_shaped_corpus, monkeypatch,
+                                                         tmp_path, model):
+    fired = []
+    weight_gradient = LiveRows.weight_gradient
+
+    def counting(self, g, a_in, dw):
+        fired.append(int(np.count_nonzero(g.any(axis=0))))
+        weight_gradient(self, g, a_in, dw)
+
+    monkeypatch.setattr(LiveRows, "weight_gradient", counting)
+    params, report = _train_desk_shaped(desk_shaped_corpus, model)
+    monkeypatch.setattr(MlpBackbone, "backward", full_product_backward)
+    full_params, full_report = _train_desk_shaped(desk_shaped_corpus, model)
+    assert len(report.records) == 30
+    # the live-row path ran, with units dead and alive in one batch
+    assert any(2 <= count < 256 for count in fired)
+    for mine, full in zip(params, full_params):
+        assert np.array_equal(mine.view(np.uint64), full.view(np.uint64))
+    report.write_csv(tmp_path / "live.csv")
+    full_report.write_csv(tmp_path / "full.csv")
+    assert (tmp_path / "live.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert report.records == full_report.records
 
 
 def test_identity_classifier_learns_the_tiny_corpus(tiny_corpus):
