@@ -27,11 +27,14 @@ import numpy as np
 from . import config as cfgmod
 from . import datamine, evalbench, fusedloss, morphgen, nncore, synthfaces, trainer
 from .errors import ConfigError, DataError, MorphdetError, NumericError
+from .pgm import remove_files
 from .seeding import derive_rng
 
 CHECKPOINT_NAME = "checkpoint.mdck"
 FR_CHECKPOINT_NAME = "fr.mdck"
 SPLIT_NAME = "split.tsv"
+# the eval outputs that only a run with --fr-checkpoint writes
+FUSED_OUTPUTS = ("scores_fused.tsv", "det_fused-*.csv", "det_fused-*.svg")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,6 +282,9 @@ def cmd_eval(args) -> int:
 
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
+    # no fused output of an earlier eval may pass as this run's: a fused run
+    # writes its own again, perhaps under another --fuse-mode name
+    remove_files(out_dir, FUSED_OUTPUTS)
     evalbench.write_scores(os.path.join(out_dir, "scores.tsv"), scores)
     named = [("mad", scores)]
 

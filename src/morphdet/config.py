@@ -10,10 +10,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .pgm import write_file
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
 def _parse_int(text):
     try:
         return int(str(text).strip())

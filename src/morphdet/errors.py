@@ -1,6 +1,5 @@
 """Shared exception types and process exit codes."""
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3

@@ -16,6 +16,14 @@ over whole vectors, block by block, without allocating per step. backward()
 multiplies out a ReLU layer's weight-gradient rows only for the units that
 fired; a LiveRows record, kept by the gradient's owner, tells it which rows
 of the arrays the last call left non-zero.
+
+A training also proves first-layer ReLU rows frozen: a FrozenRows record,
+kept beside LiveRows by the training loop, certifies every FREEZE_EVERY
+steps that a row's momentum update is a no-op and that its unit fires on no
+input its network is fed, so the row can never change again. Once a first
+layer has at most SUBSET_WIDTH live rows, forward_cached() multiplies out
+those rows only, padded with frozen ones to that width, and sgd_step()
+updates only them in that matrix. Both write the bytes of the full path.
 """
 
 import itertools
@@ -139,18 +147,23 @@ class LiveRows:
     """
 
     def __init__(self):
-        self._written = []  # [array, rows it may hold non-zero]
+        # [array, rows it may hold non-zero, rows non-zero in a call since fired() read them]
+        self._written = []
         self._scratch = np.empty(0)  # the live-row product, sized to the largest array
+
+    def _entry(self, dw):
+        return next((entry for entry in self._written if entry[0] is dw), None)
 
     def weight_gradient(self, g: np.ndarray, a_in: np.ndarray, dw: np.ndarray) -> None:
         """dw = g.T @ a_in, bit for bit, with the rows of zero columns of g
         not multiplied out."""
         fired = g.any(axis=0)
         live = np.flatnonzero(fired)
-        entry = next((entry for entry in self._written if entry[0] is dw), None)
+        entry = self._entry(dw)
         if entry is None:  # an array not written here may hold anything in any row
-            entry = [dw, np.arange(fired.size)]
+            entry = [dw, np.arange(fired.size), np.zeros(fired.size, dtype=bool)]
             self._written.append(entry)
+        entry[2] |= fired
         # All rows, or one: NumPy takes a vector path for a single row, whose
         # sums need not match the GEMM's.
         if live.size in (1, fired.size):
@@ -165,6 +178,15 @@ class LiveRows:
                 np.matmul(g[:, live].T, a_in, out=product)
                 dw[live] = product
         entry[1] = live
+
+    def fired(self, dw: np.ndarray) -> np.ndarray:
+        """Mask of the rows of dw that a call since the last fired(dw) may have
+        made non-zero: the units that fired there with a non-zero gradient."""
+        entry = self._entry(dw)
+        if entry is None:
+            return np.zeros(dw.shape[0], dtype=bool)
+        mask, entry[2] = entry[2], np.zeros_like(entry[2])
+        return mask
 
 
 class MlpBackbone:
@@ -202,8 +224,14 @@ class MlpBackbone:
         """Features (N, feature_dim) of an input batch (N, D)."""
         return self.forward_cached(x)[0]
 
-    def forward_cached(self, x: np.ndarray):
-        """Batch forward returning (features, cache) for backward()."""
+    def forward_cached(self, x: np.ndarray, frozen_rows=None):
+        """Batch forward returning (features, cache) for backward().
+
+        frozen_rows, the FrozenRows record of a training, may give a first
+        layer's pre-activation from its live rows only (see
+        FrozenRows.pre_activation); the bytes of a, z > 0 and the features
+        are those of the full product.
+        """
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise ShapeError(
@@ -211,7 +239,9 @@ class MlpBackbone:
             )
         cache = []
         for layer in self.layers:
-            z = a @ layer.weights.T + layer.biases
+            z = None if frozen_rows is None else frozen_rows.pre_activation(layer, a)
+            if z is None:
+                z = a @ layer.weights.T + layer.biases
             cache.append((a, z))
             a = relu(z) if layer.activation == "relu" else z
         if not np.all(np.isfinite(a)):
@@ -350,13 +380,17 @@ def pack_parameters(units):
 SGD_BLOCK = 16384
 
 
-def sgd_step(params, grads, velocity, step_index: int, config: SgdConfig) -> None:
+def sgd_step(params, grads, velocity, step_index: int, config: SgdConfig,
+             frozen_rows=None) -> None:
     """One in-place momentum update over aligned parameter/grad/velocity lists.
 
     velocity <- momentum * velocity - lr(step) * grad; param <- param + velocity.
     Runs block by block with one reused lr * grad buffer; grads are not
     modified. Every array must be C-contiguous, so that the update reaches it
-    and not a copy.
+    and not a copy. frozen_rows, the FrozenRows record over the packed
+    vectors, takes the first-layer matrices with at most SUBSET_WIDTH live
+    rows out of the blocks and updates their live rows alone: a frozen row's
+    update is a no-op, and its velocity is never read.
     """
     if not (len(params) == len(grads) == len(velocity)):
         raise ShapeError("params, grads, and velocity lists must align")
@@ -367,14 +401,225 @@ def sgd_step(params, grads, velocity, step_index: int, config: SgdConfig) -> Non
             raise ShapeError(f"shape mismatch in sgd_step: {p.shape}, {g.shape}, {v.shape}")
         if not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous):
             raise ShapeError("sgd_step needs C-contiguous params, grads and velocity")
+        skipped = () if frozen_rows is None else frozen_rows.subset_spans(p)
         p, g, v = p.reshape(-1), g.reshape(-1), v.reshape(-1)
-        for start in range(0, p.size, SGD_BLOCK):
-            end = min(start + SGD_BLOCK, p.size)
-            vb = v[start:end]
-            lr_g = np.multiply(g[start:end], lr, out=scratch[: end - start])
-            vb *= config.momentum
-            vb -= lr_g
-            p[start:end] += vb
+        start = 0
+        for skip_start, skip_end in (*skipped, (p.size, p.size)):
+            for block in range(start, skip_start, SGD_BLOCK):
+                end = min(block + SGD_BLOCK, skip_start)
+                vb = v[block:end]
+                lr_g = np.multiply(g[block:end], lr, out=scratch[: end - block])
+                vb *= config.momentum
+                vb -= lr_g
+                p[block:end] += vb
+            start = skip_end
+    if frozen_rows is not None:
+        frozen_rows.update_live_rows(lr, config.momentum)
+
+
+# Steps between two freeze certificates of a training's first-layer rows.
+FREEZE_EVERY = 20
+# Columns of a first layer's subset product. Narrower column subsets do not
+# reproduce the bits of the full product on OpenBLAS; at 128 columns the
+# subset is no faster than the full 256-row product.
+SUBSET_WIDTH = 64
+
+
+def _update_is_a_no_op(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the elements for which p + v rounds to p bit for bit, and
+    keeps doing so while v only shrinks: |v| < |p| * 2**-54, under half an
+    ulp of p, or v == 0 with p not -0.0 (-0.0 + +0.0 is +0.0)."""
+    return (np.abs(v) < np.abs(p) * 2.0 ** -54) | ((v == 0) & ((p != 0) | ~np.signbit(p)))
+
+
+class _FirstLayer:
+    """A first ReLU layer's views into the packed vectors and its freeze state."""
+
+    def __init__(self, layer, blocks, grad_views, velocity, start):
+        rows, width = layer.weights.shape
+        self.layer = layer
+        self.blocks = blocks
+        self.grad_weights, self.grad_biases = grad_views
+        self.velocity_weights = velocity[start : start + rows * width].reshape(rows, width)
+        self.velocity_biases = velocity[start + rows * width : start + rows * (width + 1)]
+        self.span = (start, start + rows * (width + 1))
+        self.frozen = np.zeros(rows, dtype=bool)
+        # still rows that failed the fire test: not tried again until they fire
+        self.waiting = np.zeros(rows, dtype=bool)
+        self.live = np.arange(rows)
+        self.subset = None  # (SUBSET_WIDTH, width): the live rows of weights, then frozen ones
+        self.exact = None  # whether the subset product reproduced the full one
+
+
+class FrozenRows:
+    """First-layer ReLU rows that a training has proven frozen: no later step
+    can change them. The training loop keeps this record beside its LiveRows,
+    over its packed vectors (pack_parameters), for one training.
+
+    A row, a unit's weights and its bias, is frozen when both of these hold:
+
+    - its momentum update is a no-op: for every element, |v| < |p| * 2**-54,
+      or v == 0 with p not -0.0;
+    - its unit fires on no input its network is fed:
+      max z + 2 * gamma * (||w||_1 + |b|) < 0 over all of them, with
+      gamma = (k+2)u / (1 - (k+2)u) for k inputs in [-1, 1] and u = 2**-53.
+      That bounds the rounding error of any summation order of the k + 1
+      terms (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+      with one term to spare for the bound's own rounding, so the computed
+      pre-activation of every training step stays below zero too.
+
+    Then the unit's gradient row is exactly zero at every step (LiveRows),
+    its velocity only shrinks, and both conditions hold for good; so each
+    row is proven once. A row whose update is a no-op but that fails the
+    fire test cannot change until it fires, so it is tried again only after
+    LiveRows has seen it fire.
+
+    While a first layer has more than SUBSET_WIDTH live rows, nothing here
+    changes a step. With SUBSET_WIDTH or fewer, pre_activation() multiplies
+    out the live rows, padded with frozen ones to SUBSET_WIDTH, and writes
+    0.0 for the frozen columns, and sgd_step() updates the live rows by
+    gather and scatter and leaves the frozen ones and their velocities alone.
+    A layer whose subset product does not reproduce the full product's bits
+    on its first batch (a matter of the BLAS kernel the shapes select) keeps
+    the full product.
+
+    feeds pairs first layers with a callable that yields, in blocks, the
+    inputs of every image their network is fed. A layer that is not a ReLU
+    layer of units is left alone.
+    """
+
+    def __init__(self, units, params, grad_views, velocity, feeds):
+        self.params = params
+        self._layers = []
+        start = 0
+        for k, unit in enumerate(units):
+            blocks = next((blocks for layer, blocks in feeds if layer is unit), None)
+            if blocks is not None and unit.activation == "relu":
+                self._layers.append(_FirstLayer(unit, blocks, grad_views[2 * k : 2 * k + 2],
+                                                velocity, start))
+            start += unit.weights.size + unit.biases.size
+        width = max((entry.layer.weights.shape[1] for entry in self._layers), default=0)
+        # room for SUBSET_WIDTH rows each: the gathered gradient and velocity
+        # rows of the live-row update, and the weights and their magnitudes
+        # in a fire test
+        self._scratch = (np.empty(SUBSET_WIDTH * width), np.empty(SUBSET_WIDTH * width))
+
+    def _scratch_rows(self, k, entry, count):
+        """count rows of entry's width in scratch buffer k."""
+        width = entry.layer.weights.shape[1]
+        return self._scratch[k][: count * width].reshape(count, width)
+
+    def certify(self, live_rows: LiveRows) -> None:
+        """Prove frozen what rows now can be, and regroup the live rows of
+        each layer where that changed."""
+        for entry in self._layers:
+            entry.waiting &= ~live_rows.fired(entry.grad_weights)
+            candidates = np.flatnonzero(~entry.frozen & ~entry.waiting)
+            candidates = candidates[self._still(entry, candidates)]
+            if not candidates.size:
+                continue
+            silent = self._never_fire(entry, candidates)
+            entry.waiting[candidates[~silent]] = True
+            if silent.any():
+                entry.frozen[candidates[silent]] = True
+                self._regroup(entry)
+
+    def _still(self, entry, rows):
+        """Mask of rows whose momentum update is a no-op, bias first, then
+        the weights in chunks of at most SGD_BLOCK elements."""
+        layer = entry.layer
+        still = _update_is_a_no_op(layer.biases[rows], entry.velocity_biases[rows])
+        chunk = max(1, SGD_BLOCK // layer.weights.shape[1])
+        remaining = np.flatnonzero(still)
+        for at in range(0, remaining.size, chunk):
+            picked = rows[remaining[at : at + chunk]]
+            still[remaining[at : at + chunk]] = _update_is_a_no_op(
+                layer.weights[picked], entry.velocity_weights[picked]).all(axis=1)
+        return still
+
+    def _never_fire(self, entry, rows):
+        """Mask of rows whose unit fires on no input the network is fed,
+        SUBSET_WIDTH rows at a time; a chunk stops at the first block on
+        which all its rows could fire."""
+        weights, biases = entry.layer.weights, entry.layer.biases
+        k = weights.shape[1] + 2
+        gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+        silent = np.zeros(rows.size, dtype=bool)
+        for at in range(0, rows.size, SUBSET_WIDTH):
+            picked = rows[at : at + SUBSET_WIDTH]
+            chunk = np.take(weights, picked, axis=0, mode="clip",
+                            out=self._scratch_rows(0, entry, picked.size))
+            norms = np.abs(chunk, out=self._scratch_rows(1, entry, picked.size)).sum(axis=1)
+            slack = 2.0 * gamma * (norms + np.abs(biases[picked]))
+            top = np.full(picked.size, -np.inf)
+            for x in entry.blocks():
+                np.maximum(top, (x @ chunk.T + biases[picked]).max(axis=0), out=top)
+                if not np.any(top + slack < 0):
+                    break
+            silent[at : at + SUBSET_WIDTH] = top + slack < 0
+        return silent
+
+    def _regroup(self, entry):
+        """Live rows of entry, and its subset buffer once they are few enough."""
+        entry.live = np.flatnonzero(~entry.frozen)
+        rows = entry.frozen.size
+        if entry.live.size > SUBSET_WIDTH or rows <= SUBSET_WIDTH:
+            return
+        if entry.subset is None:
+            entry.subset = np.empty((SUBSET_WIDTH, entry.layer.weights.shape[1]))
+        pad = np.flatnonzero(entry.frozen)[: SUBSET_WIDTH - entry.live.size]
+        np.take(entry.layer.weights, np.concatenate([entry.live, pad]), axis=0,
+                out=entry.subset)
+
+    def _subset_layers(self):
+        return [entry for entry in self._layers if entry.subset is not None]
+
+    def pre_activation(self, layer, a: np.ndarray):
+        """z of layer for inputs a from its live rows, with 0.0 in the frozen
+        columns, or None while the layer takes the full product."""
+        entry = next((entry for entry in self._subset_layers() if entry.layer is layer), None)
+        if entry is None or entry.exact is False:
+            return None
+        live = entry.live
+        z = np.zeros((a.shape[0], entry.frozen.size))
+        if live.size:
+            z[:, live] = (a @ entry.subset.T)[:, : live.size] + layer.biases[live]
+            if entry.exact is None:
+                full = a @ layer.weights.T + layer.biases
+                entry.exact = np.array_equal(full[:, live].view(np.uint64),
+                                             z[:, live].view(np.uint64))
+                if not entry.exact:
+                    return full
+        return z
+
+    def subset_spans(self, params: np.ndarray):
+        """Sorted (start, end) spans of the flat params that sgd_step leaves
+        to update_live_rows: the weights and biases of each layer with at
+        most SUBSET_WIDTH live rows."""
+        if params is not self.params:
+            return []
+        return sorted(entry.span for entry in self._subset_layers())
+
+    def update_live_rows(self, lr: float, momentum: float) -> None:
+        """The momentum update of the live rows that subset_spans() left out,
+        element for element the update of the blocks."""
+        for entry in self._subset_layers():
+            live, layer = entry.live, entry.layer
+            g = np.take(entry.grad_weights, live, axis=0, mode="clip",
+                        out=self._scratch_rows(0, entry, live.size))
+            v = np.take(entry.velocity_weights, live, axis=0, mode="clip",
+                        out=self._scratch_rows(1, entry, live.size))
+            np.multiply(g, lr, out=g)
+            v *= momentum
+            v -= g
+            entry.velocity_weights[live] = v
+            rows = entry.subset[: live.size]
+            rows += v
+            layer.weights[live] = rows
+            v = entry.velocity_biases[live] * momentum
+            v -= entry.grad_biases[live] * lr
+            entry.velocity_biases[live] = v
+            layer.biases[live] += v
 
 
 def finite_diff_check(loss_and_grad, theta: np.ndarray, epsilon: float = 1e-5) -> float:

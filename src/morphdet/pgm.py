@@ -10,9 +10,12 @@ write_file writes a temporary file beside its target and renames it into
 place, so an interrupted command leaves the earlier file or none, never a
 truncated one. Images and sidecars are plain writes: a corpus has thousands,
 and its manifest, written last, records that they are complete.
+remove_files is the one place that deletes artifacts: an earlier run's
+outputs that a command will not rewrite.
 """
 
 import contextlib
+import glob
 import os
 
 import numpy as np
@@ -130,6 +133,15 @@ def write_file(path, chunks) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def remove_files(directory, patterns) -> None:
+    """Remove the files of directory whose names match any of the glob
+    patterns, so that no earlier run's output can pass as a later one's."""
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(glob.escape(os.fspath(directory)), pattern)):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def write_landmarks(path, landmarks: np.ndarray) -> None:

@@ -12,7 +12,11 @@ step calls the model's objective, which writes the gradient views:
 loss_and_grads for the dual model, identity_loss_and_grads for the identity
 classifier. The loop also owns the views' nncore.LiveRows record, so that
 each backward clears only the weight-gradient rows the previous one left
-non-zero. Then one SGD-with-momentum call updates the whole vector. The
+non-zero, and beside it an nncore.FrozenRows record: every
+nncore.FREEZE_EVERY steps it proves first-layer rows frozen, against every
+image their network is fed, and once a first layer has few live rows the
+forward and the update skip the frozen ones. Both records live for one
+training. Then one SGD-with-momentum call updates the whole vector. The
 learning rate decays linearly across the planned step count. Reports are
 per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`. Both models are saved and
 loaded through one checkpoint writer and one reader, keyed by model kind.
@@ -48,7 +52,9 @@ from .fusedloss import (
     is_morph_kind,
 )
 from .nncore import (
+    FREEZE_EVERY,
     ClassifierHead,
+    FrozenRows,
     Layer,
     LiveRows,
     MlpBackbone,
@@ -146,6 +152,15 @@ def _inputs(pixels, rows):
     return pixel_features(pixels[rows] / 255.0)
 
 
+def _feed(pixels, rows, block_rows: int):
+    """A callable yielding the inputs of the distinct images at rows of
+    _image_rows pixels, block_rows at a time: what FrozenRows proves a
+    network's first layer against."""
+    rows = np.unique(rows)
+    return lambda: (_inputs(pixels, rows[at : at + block_rows])
+                    for at in range(0, rows.size, block_rows))
+
+
 class ImageCache:
     """Lazy image loader for scoring, keyed by manifest-relative path; values
     are flat float64 vectors of raw intensities in [0, 1]. Cached arrays are
@@ -180,19 +195,20 @@ def build_dual_model(input_dim: int, hidden_dims, feature_dim: int,
 
 
 def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_views,
-                   live_rows: LiveRows):
+                   live_rows: LiveRows, frozen_rows: FrozenRows = None):
     """Fused loss of one batch; writes its gradients into grad_views.
 
     batch_arrays is (suspects, trusted, first_classes, second_classes, t),
     the two networks' input rows, head classes and the cross labels;
     grad_views are the gradient views returned by
     pack_parameters(model.units()), and live_rows their record (see
-    MlpBackbone.backward). Gradients are written only
-    when the total loss is finite. Returns the BatchLossBreakdown.
+    MlpBackbone.backward); frozen_rows is the training's FrozenRows record,
+    if any. Gradients are written only when the total loss is finite.
+    Returns the BatchLossBreakdown.
     """
     suspects, trusted, first_classes, second_classes, t = batch_arrays
-    first_feats, first_cache = model.first_backbone.forward_cached(suspects)
-    second_feats, second_cache = model.second_backbone.forward_cached(trusted)
+    first_feats, first_cache = model.first_backbone.forward_cached(suspects, frozen_rows)
+    second_feats, second_cache = model.second_backbone.forward_cached(trusted, frozen_rows)
     breakdown, grads = batch_pair_loss(
         first_feats, second_feats, model.first_head, model.second_head,
         first_classes, second_classes, t, weights,
@@ -212,13 +228,15 @@ def loss_and_grads(model: DualModel, batch_arrays, weights: LossWeights, grad_vi
 
 
 def identity_loss_and_grads(backbone: MlpBackbone, head: ClassifierHead, x, labels,
-                            grad_views, live_rows: LiveRows) -> float:
+                            grad_views, live_rows: LiveRows,
+                            frozen_rows: FrozenRows = None) -> float:
     """Mean softmax cross-entropy of one identity-classifier batch of
     pixel_features rows x; writes its gradients into grad_views, those of
     pack_parameters(backbone.layers + [head]) with their record live_rows,
-    when the loss is finite. Returns the loss.
+    when the loss is finite; frozen_rows as in loss_and_grads. Returns the
+    loss.
     """
-    feats, fwd_cache = backbone.forward_cached(x)
+    feats, fwd_cache = backbone.forward_cached(x, frozen_rows)
     losses, dlogits = softmax_cross_entropy_batch(head.logits(feats), labels)
     loss = float(np.mean(losses))
     if np.isfinite(loss):
@@ -238,22 +256,28 @@ def _schedule(sgd: SgdConfig, n_records: int, what: str) -> SgdConfig:
     return dataclasses.replace(sgd, total_steps=sgd.epochs * steps_per_epoch)
 
 
-def _fit(units, sgd: SgdConfig, objective, seed: int, variant: str, **echo) -> TrainReport:
+def _fit(units, sgd: SgdConfig, objective, feeds, seed: int, variant: str,
+         **echo) -> TrainReport:
     """The SGD loop both models train with, over sgd from _schedule.
 
-    units are the model's layers and heads in parameter order.
-    objective(step, grad_views, live_rows) writes one batch's gradients into
-    grad_views, with live_rows their LiveRows record, and returns its
+    units are the model's layers and heads in parameter order, and feeds
+    pairs each network's first layer with the _feed of its images.
+    objective(step, grad_views, live_rows, frozen_rows) writes one batch's
+    gradients into grad_views, with live_rows their LiveRows record and
+    frozen_rows the FrozenRows record for the forward, and returns its
     (l1, l2, l3, total, t_ratio), or raises NumericError, which is re-raised
     with the last good step's report row.
     """
     params, grad, grad_views = pack_parameters(units)
     live_rows = LiveRows()
     velocity = np.zeros_like(params)
+    frozen_rows = FrozenRows(units, params, grad_views, velocity, feeds)
     records = []
     for step in range(sgd.total_steps):
+        if step % FREEZE_EVERY == 0:
+            frozen_rows.certify(live_rows)
         try:
-            losses = objective(step, grad_views, live_rows)
+            losses = objective(step, grad_views, live_rows, frozen_rows)
         except NumericError as exc:
             if not records:
                 raise
@@ -261,7 +285,7 @@ def _fit(units, sgd: SgdConfig, objective, seed: int, variant: str, **echo) -> T
             raise NumericError(f"{exc}; last good step {last.step}: lr {last.lr:.9g}, "
                                f"l1 {last.l1:.9g}, l2 {last.l2:.9g}, l3 {last.l3:.9g}") from exc
         lr = sgd.learning_rate(step)
-        sgd_step([params], [grad], [velocity], step, sgd)
+        sgd_step([params], [grad], [velocity], step, sgd, frozen_rows)
         records.append(TrainRecord(step, lr, *losses))
     echo.update(momentum=sgd.momentum, lr_start=sgd.lr_start, lr_end=sgd.lr_end,
                 batch_size=sgd.batch_size, epochs=sgd.epochs, total_steps=sgd.total_steps)
@@ -294,13 +318,14 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
                              num_classes, variant, seed)
     weights = LossWeights.for_variant(variant, pair_weight)
 
-    def objective(step, grad_views, live_rows):
+    def objective(step, grad_views, live_rows, frozen_rows):
         suspects, trusted = sample_batch(rows, sgd.batch_size, seed, step)
         batch_arrays = (_inputs(pixels, suspect_image[suspects]),
                         _inputs(pixels, trusted_image[trusted]),
                         first_classes[suspects], second_classes[trusted],
                         (suspect_y2[suspects] != trusted_y2[trusted]).astype(np.float64))
-        breakdown = loss_and_grads(model, batch_arrays, weights, grad_views, live_rows)
+        breakdown = loss_and_grads(model, batch_arrays, weights, grad_views, live_rows,
+                                   frozen_rows)
         if not np.isfinite(breakdown.total):
             head = rows.pairs(suspects[:5], trusted[:5])
             raise NumericError(
@@ -309,7 +334,9 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
             )
         return breakdown.l1, breakdown.l2, breakdown.l3, breakdown.total, breakdown.t_ratio
 
-    report = _fit(model.units(), sgd, objective, seed, variant,
+    feeds = [(model.first_backbone.layers[0], _feed(pixels, suspect_image, sgd.batch_size)),
+             (model.second_backbone.layers[0], _feed(pixels, trusted_image, sgd.batch_size))]
+    report = _fit(model.units(), sgd, objective, feeds, seed, variant,
                   hidden_dims=list(hidden_dims), feature_dim=feature_dim,
                   num_classes=num_classes, pair_weight=pair_weight)
     return model, report
@@ -501,16 +528,17 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
     )
     head = ClassifierHead.build(num_classes, feature_dim, derive_rng(seed, INIT_STREAM, 11))
 
-    def objective(step, grad_views, live_rows):
+    def objective(step, grad_views, live_rows, frozen_rows):
         rng = derive_rng(seed, FR_BATCH_STREAM, step)
         picks = rng.integers(len(records), size=sgd.batch_size)
         loss = identity_loss_and_grads(backbone, head, _inputs(pixels, image_row[picks]),
-                                       labels[picks], grad_views, live_rows)
+                                       labels[picks], grad_views, live_rows, frozen_rows)
         if not np.isfinite(loss):
             raise NumericError(f"identity classifier diverged at step {step}")
         return loss, 0.0, 0.0, loss, 0.0
 
-    report = _fit(backbone.layers + [head], sgd, objective, seed, "identity",
+    feeds = [(backbone.layers[0], _feed(pixels, image_row, sgd.batch_size))]
+    report = _fit(backbone.layers + [head], sgd, objective, feeds, seed, "identity",
                   hidden_dims=list(hidden_dims), feature_dim=feature_dim,
                   num_classes=num_classes)
     return backbone, head, report

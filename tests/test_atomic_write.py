@@ -1,4 +1,4 @@
-"""Artifacts are written atomically, and only by pgm.py.
+"""Artifacts are written atomically, and written and deleted only by pgm.py.
 
 An interrupted write must leave the final path as it was before: absent, or
 holding its earlier bytes. No temporary file may stay behind.
@@ -90,3 +90,37 @@ def test_only_pgm_opens_files_for_writing():
     offenders = {path.name: _write_opens(ast.parse(path.read_text()))
                  for path in sorted(SRC.glob("*.py")) if path.name != "pgm.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+# os and shutil calls that delete, and the Path methods that do
+_DELETERS = {"remove", "unlink", "rmdir", "removedirs", "rmtree"}
+
+
+def _deletes(tree):
+    """Line numbers of calls that delete files or directories: os.remove and
+    its kin, shutil.rmtree, and any .unlink(), .rmdir() or .rmtree() call,
+    and of imports of those names from os or shutil."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            module = getattr(node.func.value, "id", None)
+            if node.func.attr in _DELETERS - {"remove"} or (
+                    node.func.attr == "remove" and module == "os"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "shutil"):
+            if any(alias.name in _DELETERS for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_pgm_deletes_files():
+    assert _deletes(ast.parse((SRC / "pgm.py").read_text()))  # the scan sees deletes
+    offenders = {path.name: _deletes(ast.parse(path.read_text()))
+                 for path in sorted(SRC.glob("*.py")) if path.name != "pgm.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_the_delete_scan_finds_every_form():
+    source = ("import os, shutil\nfrom os import unlink\nos.remove(a)\nshutil.rmtree(b)\n"
+              "path.unlink()\nitems.remove(c)\nos.rmdir(d)\n")
+    assert _deletes(ast.parse(source)) == [2, 3, 4, 5, 7]

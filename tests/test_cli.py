@@ -96,6 +96,24 @@ def test_eval_rerun_is_byte_identical(pipeline):
         assert (eval2 / name).read_bytes() == (pipeline["eval"] / name).read_bytes()
 
 
+def test_a_plain_eval_leaves_no_fused_output_of_an_earlier_eval(pipeline, tmp_path):
+    """A fused eval, then a plain one into the same directory: the fused files
+    are gone, and the rest are the bytes of a plain eval in a fresh one."""
+    out = tmp_path / "eval"
+    plain = ["eval", "--data-dir", pipeline["data"], "--out-dir", out,
+             "--checkpoint", pipeline["train"] / "checkpoint.mdck",
+             "--protocol", pipeline["data"] / "protocol-latent.tsv"]
+    assert run(plain) == 0
+    fresh = _tree_bytes(out)
+    shutil.rmtree(out)
+    assert run(plain[:-1] + [pipeline["data"] / "protocol-landmark.tsv",
+                             "--fr-checkpoint", pipeline["train"] / "fr.mdck"]) == 0
+    assert {"scores_fused.tsv", "det_fused-dissimilarity.csv",
+            "det_fused-dissimilarity.svg"} <= set(_tree_bytes(out))
+    assert run(plain) == 0
+    assert _tree_bytes(out) == fresh
+
+
 def test_full_regeneration_is_byte_identical(pipeline):
     base2 = pipeline["base"] / "regen"
     data2 = base2 / "data"

@@ -17,10 +17,12 @@ from morphdet.nncore import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     ClassifierHead,
+    FrozenRows,
     Layer,
     LiveRows,
     MlpBackbone,
     SGD_BLOCK,
+    SUBSET_WIDTH,
     SgdConfig,
     binary_cross_entropy_with_logit,
     finite_diff_check,
@@ -387,6 +389,147 @@ def test_backward_into_a_used_or_nan_buffer_writes_the_bytes_of_a_zeroed_one(bat
         ]
         for k, result in enumerate(results):
             assert np.array_equal(bits(result), expected), (n_live, k)
+
+
+def frozen_record(backbone, images, block_rows=28, head=None):
+    """A FrozenRows record over the packed parameters of backbone (and head),
+    whose first layer is fed images; returns (record, params, grad,
+    grad_views, velocity)."""
+    units = backbone.layers + ([head] if head is not None else [])
+    params, grad, grad_views = pack_parameters(units)
+    velocity = np.zeros_like(params)
+    feed = (backbone.layers[0], lambda: (images[at : at + block_rows]
+                                         for at in range(0, len(images), block_rows)))
+    record = FrozenRows(units, params, grad_views, velocity, [feed])
+    return record, params, grad, grad_views, velocity
+
+
+def test_subset_forward_is_the_full_product_bit_for_bit():
+    """Every live count the subset path takes, at the desk training shape:
+    the live rows padded with frozen ones to SUBSET_WIDTH columns."""
+    batch, dims = 28, (1024, 256, 64)
+    rng = np.random.default_rng(23)
+    backbone = MlpBackbone.build(dims, rng)
+    x = rng.uniform(-1.0, 1.0, size=(batch, dims[0]))
+    for n_live in range(SUBSET_WIDTH + 1):
+        with_live_units(backbone, n_live, rng)
+        record, *_arrays = frozen_record(backbone, x)
+        record.certify(LiveRows())
+        feats, cache = backbone.forward_cached(x, record)
+        full_feats, full_cache = backbone.forward_cached(x)
+        (a, z), (full_a, full_z) = cache[1], full_cache[1]
+        live = np.flatnonzero(backbone.layers[0].biases > 0)
+        dead = np.flatnonzero(backbone.layers[0].biases < 0)
+        assert not cache[0][1][:, dead].any(), n_live  # the subset path ran
+        assert np.array_equal(bits([cache[0][1][:, live]]), bits([full_cache[0][1][:, live]]))
+        assert np.array_equal(bits([a, z, feats]), bits([full_a, full_z, full_feats])), n_live
+
+
+def test_a_subset_forward_that_differs_from_the_full_product_is_not_taken():
+    """A batch of 7 rows selects another OpenBLAS kernel for the subset
+    product than for the full one; the forward must keep the full bytes."""
+    rng = np.random.default_rng(24)
+    backbone = MlpBackbone.build((1024, 256, 64), rng)
+    with_live_units(backbone, 40, rng)
+    x = rng.uniform(-1.0, 1.0, size=(7, 1024))
+    record, *_arrays = frozen_record(backbone, x)
+    record.certify(LiveRows())
+    for _ in range(2):
+        feats, cache = backbone.forward_cached(x, record)
+        full_feats, full_cache = backbone.forward_cached(x)
+        assert np.array_equal(bits([feats, cache[0][0], cache[1][1]]),
+                              bits([full_feats, full_cache[0][0], full_cache[1][1]]))
+
+
+def one_image_unit(images, row, backbone, fires):
+    """Set row of the first layer so that its unit fires on exactly one of
+    images, moved to the end (fires=True), or on none of them."""
+    layer = backbone.layers[0]
+    if fires:
+        top = np.argmax(images @ layer.weights[row])
+        images[[top, -1]] = images[[-1, top]]
+    z = np.sort(images @ layer.weights[row])
+    layer.biases[row] = -0.5 * (z[-1] + z[-2]) if fires else -z[-1] - 1e-3
+
+
+def frozen_rows_of(record):
+    """The rows of the record's one first layer proven frozen so far."""
+    (entry,) = record._layers
+    return np.flatnonzero(entry.frozen).tolist()
+
+
+def test_a_row_that_fires_on_one_image_does_not_freeze():
+    rng = np.random.default_rng(25)
+    backbone = MlpBackbone.build((20, 8, 6), rng)
+    layer = backbone.layers[0]
+    images = rng.uniform(-1.0, 1.0, size=(30, 20))
+    one_image_unit(images, 0, backbone, fires=True)
+    one_image_unit(images, 1, backbone, fires=False)
+    assert np.flatnonzero(images @ layer.weights[0] + layer.biases[0] > 0).tolist() == [29]
+    record, params, _grad, grad_views, velocity = frozen_record(backbone, images, block_rows=4)
+    # a velocity far below half an ulp of every weight: both updates are no-ops
+    velocity[:40] = params[:40] * 2.0 ** -60
+    live_rows = LiveRows()
+    record.certify(live_rows)
+    assert frozen_rows_of(record) == [1]
+    # row 0 cannot fire now, but it is not tried again until it has fired
+    firing_bias = layer.biases[0]
+    layer.biases[0] = -1e3
+    record.certify(live_rows)
+    assert frozen_rows_of(record) == [1]
+    g = np.zeros((1, 8))
+    g[0, 0] = 1.0
+    live_rows.weight_gradient(g, images[:1], np.zeros((8, 20)))  # not the record's array
+    record.certify(live_rows)
+    assert frozen_rows_of(record) == [1]
+    layer.biases[0] = firing_bias
+    _feats, cache = backbone.forward_cached(images[-1:])
+    backbone.backward(cache, np.ones((1, 6)), grad_views, live_rows)
+    assert grad_views[0][0].any()
+    layer.biases[0] = -1e3
+    record.certify(live_rows)
+    assert frozen_rows_of(record) == [0, 1]
+
+
+def test_a_negative_zero_weight_with_a_positive_zero_velocity_does_not_freeze():
+    """-0.0 + +0.0 is +0.0: the update of such a weight is not a no-op."""
+    rng = np.random.default_rng(26)
+    backbone = MlpBackbone.build((20, 8, 6), rng)
+    images = rng.uniform(-1.0, 1.0, size=(10, 20))
+    backbone.layers[0].biases[...] = -1e3  # no unit fires
+    backbone.layers[0].weights[0, 3] = -0.0
+    backbone.layers[0].weights[1, 3] = +0.0
+    record, *_arrays, velocity = frozen_record(backbone, images)
+    assert not velocity.any() and not np.signbit(velocity).any()
+    record.certify(LiveRows())
+    assert frozen_rows_of(record) == list(range(1, 8))
+
+
+def test_sgd_step_leaves_frozen_rows_and_their_velocity_alone():
+    """With a first layer on its subset path, sgd_step updates its live rows
+    and every other element as the blocked update does, and touches no
+    frozen row's weights, bias or velocity."""
+    rng = np.random.default_rng(27)
+    backbone = MlpBackbone.build((300, 100, 5), rng)
+    head = ClassifierHead.build(3, 5, rng)
+    with_live_units(backbone, 17, rng)
+    x = rng.uniform(-1.0, 1.0, size=(28, 300))
+    record, params, grad, _grad_views, velocity = frozen_record(backbone, x, head=head)
+    record.certify(LiveRows())
+    dead = backbone.layers[0].biases < 0
+    cfg = SgdConfig(momentum=0.9, lr_start=0.3, lr_end=0.01, total_steps=3)
+    p_ref, v_ref = params.copy(), velocity.copy()
+    skipped = np.zeros(params.size, dtype=bool)
+    skipped[: 100 * 300] = np.repeat(dead, 300)
+    skipped[100 * 300 : 100 * 301] = dead
+    for step in range(cfg.total_steps):
+        grad[...] = rng.normal(size=grad.size)
+        frozen_before = params[skipped].copy(), velocity[skipped].copy()
+        sgd_step([params], [grad], [velocity], step, cfg, record)
+        _reference_sgd_step([p_ref], [grad], [v_ref], cfg.learning_rate(step), cfg.momentum)
+        assert np.array_equal(bits([params[~skipped], velocity[~skipped]]),
+                              bits([p_ref[~skipped], v_ref[~skipped]]))
+        assert np.array_equal(bits([params[skipped], velocity[skipped]]), bits(frozen_before))
 
 
 def test_finite_diff_check_flags_a_wrong_gradient():

@@ -10,7 +10,7 @@ from morphdet.datamine import assemble_dataset
 from morphdet.evalbench import GT_BONAFIDE, GT_MORPH, ProtocolEntry, score_protocol
 from morphdet.errors import ConfigError, CoverageError, DataError, NumericError, ShapeError
 from morphdet.fusedloss import DualLabels, KIND_MORPH_LM
-from morphdet.nncore import Layer, LiveRows, MlpBackbone, SgdConfig
+from morphdet.nncore import FrozenRows, Layer, LiveRows, MlpBackbone, SgdConfig
 from morphdet.trainer import (
     ImageCache,
     build_dual_model,
@@ -424,6 +424,44 @@ def test_live_row_training_matches_full_product_training(desk_shaped_corpus, mon
     full_report.write_csv(tmp_path / "full.csv")
     assert (tmp_path / "live.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     assert report.records == full_report.records
+
+
+@pytest.mark.parametrize("model", ["detector", "identity"])
+def test_frozen_row_training_matches_full_path_training(desk_shaped_corpus, monkeypatch,
+                                                        tmp_path, model):
+    """With all but 40 first-layer units silenced by -1e3 biases, as selftest
+    does, rows freeze at step 0 and every step takes the subset forward and
+    the live-row update; the full path, where no row is ever proven frozen,
+    must give the same bytes."""
+    build = MlpBackbone.build.__func__
+
+    def silenced(cls, dims, rng):
+        backbone = build(cls, dims, rng)
+        backbone.layers[0].biases[40:] = -1e3
+        return backbone
+
+    monkeypatch.setattr(MlpBackbone, "build", classmethod(silenced))
+    subset_forwards = []
+    pre_activation = FrozenRows.pre_activation
+
+    def counting(self, layer, a):
+        z = pre_activation(self, layer, a)
+        if z is not None:
+            subset_forwards.append(int(np.count_nonzero(z.any(axis=0))))
+        return z
+
+    monkeypatch.setattr(FrozenRows, "pre_activation", counting)
+    params, report = _train_desk_shaped(desk_shaped_corpus, model)
+    monkeypatch.setattr(FrozenRows, "certify", lambda self, live_rows: None)
+    full_params, full_report = _train_desk_shaped(desk_shaped_corpus, model)
+    # rows froze: every step's first layers took the subset product
+    assert len(subset_forwards) == 30 * (2 if model == "detector" else 1)
+    assert 0 < max(subset_forwards) <= 40
+    for mine, full in zip(params, full_params):
+        assert np.array_equal(mine.view(np.uint64), full.view(np.uint64))
+    report.write_csv(tmp_path / "frozen.csv")
+    full_report.write_csv(tmp_path / "full.csv")
+    assert (tmp_path / "frozen.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_identity_classifier_learns_the_tiny_corpus(tiny_corpus):
