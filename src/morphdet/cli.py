@@ -226,13 +226,16 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, _TRAIN_KEYS)
     bona, selfmorphs, morphs, plan, num_classes = _load_training_records(cfg)
     corpus = datamine.assemble_dataset(bona, selfmorphs, morphs, cfg["seed"])
+    out_dir = cfg["out_dir"]
+    # no output of an earlier run may pass as this one's; the config, written
+    # last, records a complete run
+    remove_files(out_dir, (CHECKPOINT_NAME, "train_report.csv", "train.config"))
     model, report = trainer.train(
         cfg["data_dir"], corpus, bona, plan, num_classes,
         _sgd_config(cfg), cfg["variant"], cfg["seed"],
         hidden_dims=cfg["hidden_dims"], feature_dim=cfg["feature_dim"],
         pair_weight=cfg["pair_weight"],
     )
-    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     checkpoint = os.path.join(out_dir, CHECKPOINT_NAME)
     trainer.save_model(checkpoint, model, cfg["seed"])
@@ -252,11 +255,12 @@ def cmd_train_fr(args) -> int:
     data_dir = cfg["data_dir"]
     rows, ids, _per = _read_dataset(data_dir)
     bona, _selfmorphs, _morphs = datamine.records_from_manifests(rows, [])
+    out_dir = cfg["out_dir"]
+    remove_files(out_dir, (FR_CHECKPOINT_NAME, "fr_report.csv", "train-fr.config"))
     backbone, head, report = trainer.train_identity_classifier(
         data_dir, bona, len(ids), _sgd_config(cfg), cfg["seed"],
         hidden_dims=cfg["hidden_dims"], feature_dim=cfg["feature_dim"],
     )
-    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     checkpoint = os.path.join(out_dir, FR_CHECKPOINT_NAME)
     trainer.save_identity_model(checkpoint, backbone, head, cfg["seed"])
@@ -283,8 +287,9 @@ def cmd_eval(args) -> int:
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     # no fused output of an earlier eval may pass as this run's: a fused run
-    # writes its own again, perhaps under another --fuse-mode name
-    remove_files(out_dir, FUSED_OUTPUTS)
+    # writes its own again, perhaps under another --fuse-mode name; the
+    # config, written last, records a complete run
+    remove_files(out_dir, FUSED_OUTPUTS + ("eval.config",))
     evalbench.write_scores(os.path.join(out_dir, "scores.tsv"), scores)
     named = [("mad", scores)]
 

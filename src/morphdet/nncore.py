@@ -17,13 +17,18 @@ multiplies out a ReLU layer's weight-gradient rows only for the units that
 fired; a LiveRows record, kept by the gradient's owner, tells it which rows
 of the arrays the last call left non-zero.
 
-A training also proves first-layer ReLU rows frozen: a FrozenRows record,
-kept beside LiveRows by the training loop, certifies every FREEZE_EVERY
-steps that a row's momentum update is a no-op and that its unit fires on no
-input its network is fed, so the row can never change again. Once a first
-layer has at most SUBSET_WIDTH live rows, forward_cached() multiplies out
-those rows only, padded with frozen ones to that width, and sgd_step()
-updates only them in that matrix. Both write the bytes of the full path.
+A training also proves first-layer ReLU rows dead and frozen: a FrozenRows
+record, kept beside LiveRows by the training loop, certifies every
+FREEZE_EVERY steps that a row's unit cannot fire on any input its network is
+fed, however far the momentum tail of its update still moves it (dead), and
+that a dead row's momentum update is a no-op (frozen), so that it can never
+change again. Once a first layer has at most SUBSET_WIDTH live rows, rows
+not dead, forward_cached() multiplies out those rows only, padded with dead
+ones to the narrowest width that gives the full product's bits, and
+sgd_step() updates only them in that matrix. The steps a dead row is left
+out of pend; the record replays them in bulk at each certificate, until the
+row is frozen, and once more when the training ends. All of it writes the
+bytes of the full path.
 """
 
 import itertools
@@ -388,12 +393,14 @@ def sgd_step(params, grads, velocity, step_index: int, config: SgdConfig,
     Runs block by block with one reused lr * grad buffer; grads are not
     modified. Every array must be C-contiguous, so that the update reaches it
     and not a copy. frozen_rows, the FrozenRows record over the packed
-    vectors, takes the first-layer matrices with at most SUBSET_WIDTH live
-    rows out of the blocks and updates their live rows alone: a frozen row's
-    update is a no-op, and its velocity is never read.
+    vectors, takes the first-layer matrices on its subset path out of the
+    blocks and updates their live rows alone: a dead row's step pends until
+    the record replays it, and a frozen row's update is a no-op.
     """
     if not (len(params) == len(grads) == len(velocity)):
         raise ShapeError("params, grads, and velocity lists must align")
+    if frozen_rows is not None and frozen_rows.momentum != config.momentum:
+        raise ConfigError("sgd_step momentum differs from the FrozenRows record's")
     lr = config.learning_rate(step_index)
     scratch = np.empty(SGD_BLOCK)
     for p, g, v in zip(params, grads, velocity):
@@ -414,15 +421,23 @@ def sgd_step(params, grads, velocity, step_index: int, config: SgdConfig,
                 p[block:end] += vb
             start = skip_end
     if frozen_rows is not None:
-        frozen_rows.update_live_rows(lr, config.momentum)
+        frozen_rows.update_live_rows(lr)
 
 
-# Steps between two freeze certificates of a training's first-layer rows.
+# Steps between two certificates of a training's first-layer rows.
 FREEZE_EVERY = 20
-# Columns of a first layer's subset product. Narrower column subsets do not
-# reproduce the bits of the full product on OpenBLAS; at 128 columns the
-# subset is no faster than the full 256-row product.
+# Most columns of a first layer's subset product: its live rows, padded with
+# dead ones to a multiple of 8 columns and to SUBSET_MIN_WIDTH at least. On
+# OpenBLAS at 1024 inputs, 40 to 64 columns reproduced the bits of the full
+# 256-row product for a batch of 28 and 48 to 64 for one of 24, and no
+# narrower multiple of 8 did; at 128 columns the subset is no faster than the
+# full product.
 SUBSET_WIDTH = 64
+SUBSET_MIN_WIDTH = 40
+# Half an ulp of the smallest subnormal, 2**-1075, is what rounding can add to
+# a decaying velocity element a step; twice that over 2**64 steps is the floor
+# under the geometric bound of what the element's tail moves its parameter.
+_TAIL_FLOOR = 2.0 ** -1010
 
 
 def _update_is_a_no_op(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -433,7 +448,7 @@ def _update_is_a_no_op(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _FirstLayer:
-    """A first ReLU layer's views into the packed vectors and its freeze state."""
+    """A first ReLU layer's views into the packed vectors and its proof state."""
 
     def __init__(self, layer, blocks, grad_views, velocity, start):
         rows, width = layer.weights.shape
@@ -443,53 +458,65 @@ class _FirstLayer:
         self.velocity_weights = velocity[start : start + rows * width].reshape(rows, width)
         self.velocity_biases = velocity[start + rows * width : start + rows * (width + 1)]
         self.span = (start, start + rows * (width + 1))
-        self.frozen = np.zeros(rows, dtype=bool)
-        # still rows that failed the fire test: not tried again until they fire
-        self.waiting = np.zeros(rows, dtype=bool)
+        self.dead = np.zeros(rows, dtype=bool)
+        self.frozen = np.zeros(rows, dtype=bool)  # dead rows whose update is a no-op
+        self.pending = 0  # steps the dead rows that are not frozen were left out of
         self.live = np.arange(rows)
-        self.subset = None  # (SUBSET_WIDTH, width): the live rows of weights, then frozen ones
-        self.exact = None  # whether the subset product reproduced the full one
+        self.subset = None  # (SUBSET_WIDTH, width): the live rows of weights, then dead ones
+        self.exact = {}  # subset width -> whether its product reproduced the full one
 
 
 class FrozenRows:
-    """First-layer ReLU rows that a training has proven frozen: no later step
-    can change them. The training loop keeps this record beside its LiveRows,
-    over its packed vectors (pack_parameters), for one training.
+    """First-layer ReLU rows that a training has proven dead, whose unit can
+    never fire again, and frozen, which can never change again. The training
+    loop keeps this record beside its LiveRows, over its packed vectors
+    (pack_parameters) and with its momentum m, for one training.
 
-    A row, a unit's weights and its bias, is frozen when both of these hold:
+    certify() tests both certificates every FREEZE_EVERY steps:
 
-    - its momentum update is a no-op: for every element, |v| < |p| * 2**-54,
-      or v == 0 with p not -0.0;
-    - its unit fires on no input its network is fed:
-      max z + 2 * gamma * (||w||_1 + |b|) < 0 over all of them, with
-      gamma = (k+2)u / (1 - (k+2)u) for k inputs in [-1, 1] and u = 2**-53.
-      That bounds the rounding error of any summation order of the k + 1
-      terms (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
-      with one term to spare for the bound's own rounding, so the computed
-      pre-activation of every training step stays below zero too.
+    - A row, a unit's weights w and its bias b, is dead when
+      max z + D + 2 * gamma * (||w||_1 + |b| + D) < 0 over every input its
+      network is fed, with z the computed pre-activation,
+      gamma = (k+2)u / (1 - (k+2)u) for k inputs in [-1, 1] and u = 2**-53,
+      and D = (2q * (||v_w||_1 + |v_b|) + k * _TAIL_FLOOR) / (1 - q) for
+      the row's velocity v and q = m * (1 + 2**-52) (no row is dead if
+      q >= 1). gamma bounds the rounding error of any summation order of
+      the k + 1 terms (Higham, Accuracy and Stability of Numerical
+      Algorithms, 3.1), with one term to spare for the bound's own rounding.
+      A unit that does not fire gets a +0.0 gradient row (LiveRows), so its
+      update is v <- fl(m * v); p <- fl(p + v), with |fl(m * v)| <= q|v|
+      (plus 2**-1075 below the normal range) and |fl(p + v) - p| <= 2|v|:
+      D bounds all that this tail can still move z over 2**64 steps. So the
+      unit does not fire at the next step, nor, by induction, ever again.
+      The rows tested are those not dead that LiveRows has not seen fire
+      since the last certificate.
+    - A dead row is frozen once its momentum update is a no-op: for every
+      element, |v| < |p| * 2**-54, or v == 0 with p not -0.0.
 
-    Then the unit's gradient row is exactly zero at every step (LiveRows),
-    its velocity only shrinks, and both conditions hold for good; so each
-    row is proven once. A row whose update is a no-op but that fails the
-    fire test cannot change until it fires, so it is tried again only after
-    LiveRows has seen it fire.
-
-    While a first layer has more than SUBSET_WIDTH live rows, nothing here
-    changes a step. With SUBSET_WIDTH or fewer, pre_activation() multiplies
-    out the live rows, padded with frozen ones to SUBSET_WIDTH, and writes
-    0.0 for the frozen columns, and sgd_step() updates the live rows by
-    gather and scatter and leaves the frozen ones and their velocities alone.
-    A layer whose subset product does not reproduce the full product's bits
-    on its first batch (a matter of the BLAS kernel the shapes select) keeps
-    the full product.
+    While a first layer has more than SUBSET_WIDTH live rows (rows not dead),
+    nothing here changes a step. With SUBSET_WIDTH or fewer, pre_activation()
+    multiplies out the live rows, padded with dead ones, whose columns are
+    discarded, to the narrowest width that reproduces the full product
+    (_width), and writes 0.0 for the dead columns; sgd_step() updates the
+    live rows by gather and scatter and leaves the dead ones out. What a dead
+    row was left out of is its pending tail, the update with its +0.0
+    gradient row of each step. It is replayed in bulk, bit for bit, at two
+    catch-up points: at each certify(), until the row is frozen, and by
+    catch_up(), which the training loop calls before it returns, so that the
+    packed vectors hold the weights of the full path. A subset width whose
+    product does not reproduce the full product's bits on its first batch (a
+    matter of the BLAS kernel the shapes select) falls back to SUBSET_WIDTH
+    columns; a layer where that fails too keeps the full product and the full
+    update.
 
     feeds pairs first layers with a callable that yields, in blocks, the
     inputs of every image their network is fed. A layer that is not a ReLU
     layer of units is left alone.
     """
 
-    def __init__(self, units, params, grad_views, velocity, feeds):
+    def __init__(self, units, params, grad_views, velocity, feeds, momentum: float):
         self.params = params
+        self.momentum = momentum
         self._layers = []
         start = 0
         for k, unit in enumerate(units):
@@ -499,124 +526,191 @@ class FrozenRows:
                                                 velocity, start))
             start += unit.weights.size + unit.biases.size
         width = max((entry.layer.weights.shape[1] for entry in self._layers), default=0)
-        # room for SUBSET_WIDTH rows each: the gathered gradient and velocity
-        # rows of the live-row update, and the weights and their magnitudes
-        # in a fire test
-        self._scratch = (np.empty(SUBSET_WIDTH * width), np.empty(SUBSET_WIDTH * width))
+        # 2 * SUBSET_WIDTH rows: the gathered gradient and velocity rows of the
+        # live-row update or the weight and velocity rows of a tail replay, one
+        # half each, or the rows of a fire test
+        self._scratch = np.empty(2 * SUBSET_WIDTH * width)
 
-    def _scratch_rows(self, k, entry, count):
-        """count rows of entry's width in scratch buffer k."""
+    def _scratch_rows(self, entry, count, first=0):
+        """count rows of entry's width in the scratch buffer, from row first."""
         width = entry.layer.weights.shape[1]
-        return self._scratch[k][: count * width].reshape(count, width)
+        return self._scratch[first * width : (first + count) * width].reshape(count, width)
 
     def certify(self, live_rows: LiveRows) -> None:
-        """Prove frozen what rows now can be, and regroup the live rows of
-        each layer where that changed."""
+        """Replay the dead rows' pending tails and prove frozen those whose
+        update is now a no-op, prove dead what rows now can be, and regroup
+        the live rows of each layer where that changed."""
         for entry in self._layers:
-            entry.waiting &= ~live_rows.fired(entry.grad_weights)
-            candidates = np.flatnonzero(~entry.frozen & ~entry.waiting)
-            candidates = candidates[self._still(entry, candidates)]
+            fired = live_rows.fired(entry.grad_weights)
+            self._catch_up(entry)
+            candidates = np.flatnonzero(~entry.dead & ~fired)
             if not candidates.size:
                 continue
-            silent = self._never_fire(entry, candidates)
-            entry.waiting[candidates[~silent]] = True
-            if silent.any():
-                entry.frozen[candidates[silent]] = True
+            dead = self._never_fire(entry, candidates)
+            if dead.any():
+                entry.dead[candidates[dead]] = True
                 self._regroup(entry)
 
-    def _still(self, entry, rows):
-        """Mask of rows whose momentum update is a no-op, bias first, then
-        the weights in chunks of at most SGD_BLOCK elements."""
+    def catch_up(self) -> None:
+        """Replay every dead row's pending tail."""
+        for entry in self._layers:
+            self._catch_up(entry)
+
+    def _catch_up(self, entry):
+        """Replay the steps that entry's dead rows that are not frozen were
+        left out of, then prove frozen those whose update is now a no-op;
+        SUBSET_WIDTH rows at a time, through the two halves of scratch."""
+        rows = np.flatnonzero(entry.dead & ~entry.frozen)
+        steps, entry.pending = entry.pending, 0
+        if not rows.size:
+            return
         layer = entry.layer
-        still = _update_is_a_no_op(layer.biases[rows], entry.velocity_biases[rows])
-        chunk = max(1, SGD_BLOCK // layer.weights.shape[1])
-        remaining = np.flatnonzero(still)
-        for at in range(0, remaining.size, chunk):
-            picked = rows[remaining[at : at + chunk]]
-            still[remaining[at : at + chunk]] = _update_is_a_no_op(
-                layer.weights[picked], entry.velocity_weights[picked]).all(axis=1)
-        return still
+        biases, velocity = layer.biases[rows, None], entry.velocity_biases[rows, None]
+        still = self._replay(biases, velocity, steps)
+        layer.biases[rows], entry.velocity_biases[rows] = biases[:, 0], velocity[:, 0]
+        for at in range(0, rows.size, SUBSET_WIDTH):
+            picked = rows[at : at + SUBSET_WIDTH]
+            p = np.take(layer.weights, picked, axis=0, mode="clip",
+                        out=self._scratch_rows(entry, picked.size))
+            v = np.take(entry.velocity_weights, picked, axis=0, mode="clip",
+                        out=self._scratch_rows(entry, picked.size, SUBSET_WIDTH))
+            still[at : at + SUBSET_WIDTH] &= self._replay(p, v, steps)
+            if steps:
+                layer.weights[picked] = p
+                entry.velocity_weights[picked] = v
+        entry.frozen[rows[still]] = True
+
+    def _replay(self, p, v, steps):
+        """steps of v <- m * v; p <- p + v on the rows p and v in place, the
+        update of the blocks with a +0.0 gradient row, bit for bit; returns
+        the mask of the rows whose update is then a no-op, SGD_BLOCK
+        elements at a time."""
+        for _ in range(steps):
+            v *= self.momentum
+            p += v
+        chunk = max(1, SGD_BLOCK // p.shape[1])
+        return np.concatenate([_update_is_a_no_op(p[at : at + chunk], v[at : at + chunk]).all(axis=1)
+                               for at in range(0, p.shape[0], chunk)])
+
+    def _row_norms(self, entry, matrix, rows):
+        """1-norms of rows of one of entry's (rows, width) matrices, taken
+        through scratch."""
+        norms = np.empty(rows.size)
+        for at in range(0, rows.size, 2 * SUBSET_WIDTH):
+            picked = rows[at : at + 2 * SUBSET_WIDTH]
+            chunk = np.take(matrix, picked, axis=0, mode="clip",
+                            out=self._scratch_rows(entry, picked.size))
+            np.abs(chunk, out=chunk).sum(axis=1, out=norms[at : at + picked.size])
+        return norms
 
     def _never_fire(self, entry, rows):
-        """Mask of rows whose unit fires on no input the network is fed,
-        SUBSET_WIDTH rows at a time; a chunk stops at the first block on
-        which all its rows could fire."""
+        """Mask of rows proven dead (see the class docstring). Each block of
+        inputs is mapped once. The rows that may still be dead are multiplied
+        out of the weights in place, or, once at most 2 * SUBSET_WIDTH,
+        gathered into scratch, again whenever their count halves; the scan
+        stops once no row may be dead."""
         weights, biases = entry.layer.weights, entry.layer.biases
         k = weights.shape[1] + 2
         gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
-        silent = np.zeros(rows.size, dtype=bool)
-        for at in range(0, rows.size, SUBSET_WIDTH):
-            picked = rows[at : at + SUBSET_WIDTH]
-            chunk = np.take(weights, picked, axis=0, mode="clip",
-                            out=self._scratch_rows(0, entry, picked.size))
-            norms = np.abs(chunk, out=self._scratch_rows(1, entry, picked.size)).sum(axis=1)
-            slack = 2.0 * gamma * (norms + np.abs(biases[picked]))
-            top = np.full(picked.size, -np.inf)
-            for x in entry.blocks():
-                np.maximum(top, (x @ chunk.T + biases[picked]).max(axis=0), out=top)
-                if not np.any(top + slack < 0):
-                    break
-            silent[at : at + SUBSET_WIDTH] = top + slack < 0
-        return silent
+        q = self.momentum * (1.0 + 2.0 ** -52)
+        moved = 2.0 * q * (self._row_norms(entry, entry.velocity_weights, rows)
+                           + np.abs(entry.velocity_biases[rows])) + k * _TAIL_FLOOR
+        tail = moved / (1.0 - q) if q < 1.0 else np.full(rows.size, np.inf)
+        slack = tail + 2.0 * gamma * (self._row_norms(entry, weights, rows)
+                                      + np.abs(biases[rows]) + tail)
+        top = np.full(rows.size, -np.inf)  # each row's largest z so far
+        maybe = top + slack < 0
+        taken = None  # the positions in rows of the rows multiplied out
+        for x in entry.blocks():
+            if taken is None or 2 * np.count_nonzero(maybe) <= taken.size:
+                taken = np.flatnonzero(maybe)
+                if taken.size <= 2 * SUBSET_WIDTH:
+                    matrix, columns = np.take(weights, rows[taken], axis=0, mode="clip",
+                                              out=self._scratch_rows(entry, taken.size)), slice(None)
+                else:
+                    matrix, columns = weights, rows[taken]
+            z = (x @ matrix.T)[:, columns].max(axis=0) + biases[rows[taken]]
+            top[taken] = np.maximum(top[taken], z)
+            maybe = top + slack < 0
+            if not maybe.any():
+                break
+        return maybe
 
     def _regroup(self, entry):
         """Live rows of entry, and its subset buffer once they are few enough."""
-        entry.live = np.flatnonzero(~entry.frozen)
-        rows = entry.frozen.size
+        entry.live = np.flatnonzero(~entry.dead)
+        rows = entry.dead.size
         if entry.live.size > SUBSET_WIDTH or rows <= SUBSET_WIDTH:
             return
         if entry.subset is None:
             entry.subset = np.empty((SUBSET_WIDTH, entry.layer.weights.shape[1]))
-        pad = np.flatnonzero(entry.frozen)[: SUBSET_WIDTH - entry.live.size]
-        np.take(entry.layer.weights, np.concatenate([entry.live, pad]), axis=0,
+        pad = np.flatnonzero(entry.dead)[: SUBSET_WIDTH - entry.live.size]
+        np.take(entry.layer.weights, np.concatenate([entry.live, pad]), axis=0, mode="clip",
                 out=entry.subset)
 
+    @staticmethod
+    def _width(entry):
+        """Columns of entry's subset product, or None while the layer takes
+        the full product: its live rows rounded up to a multiple of 8, at
+        least SUBSET_MIN_WIDTH and at most SUBSET_WIDTH, or SUBSET_WIDTH once
+        the narrower product has differed from the full one."""
+        if entry.subset is None:
+            return None
+        narrowest = min(SUBSET_WIDTH, max(SUBSET_MIN_WIDTH, -(-entry.live.size // 8) * 8))
+        return next((width for width in (narrowest, SUBSET_WIDTH)
+                     if entry.exact.get(width) is not False), None)
+
     def _subset_layers(self):
-        return [entry for entry in self._layers if entry.subset is not None]
+        return [entry for entry in self._layers if self._width(entry) is not None]
 
     def pre_activation(self, layer, a: np.ndarray):
-        """z of layer for inputs a from its live rows, with 0.0 in the frozen
+        """z of layer for inputs a from its live rows, with 0.0 in the dead
         columns, or None while the layer takes the full product."""
-        entry = next((entry for entry in self._subset_layers() if entry.layer is layer), None)
-        if entry is None or entry.exact is False:
+        entry = next((entry for entry in self._layers if entry.layer is layer), None)
+        width = None if entry is None else self._width(entry)
+        if width is None:
             return None
         live = entry.live
-        z = np.zeros((a.shape[0], entry.frozen.size))
+        z = np.zeros((a.shape[0], entry.dead.size))
         if live.size:
-            z[:, live] = (a @ entry.subset.T)[:, : live.size] + layer.biases[live]
-            if entry.exact is None:
+            z[:, live] = (a @ entry.subset[:width].T)[:, : live.size] + layer.biases[live]
+            if width not in entry.exact:
                 full = a @ layer.weights.T + layer.biases
-                entry.exact = np.array_equal(full[:, live].view(np.uint64),
-                                             z[:, live].view(np.uint64))
-                if not entry.exact:
+                entry.exact[width] = np.array_equal(full[:, live].view(np.uint64),
+                                                    z[:, live].view(np.uint64))
+                if not entry.exact[width]:
+                    if self._width(entry) is None:  # the layer leaves the subset path
+                        self._catch_up(entry)
                     return full
         return z
 
     def subset_spans(self, params: np.ndarray):
         """Sorted (start, end) spans of the flat params that sgd_step leaves
-        to update_live_rows: the weights and biases of each layer with at
-        most SUBSET_WIDTH live rows."""
+        to update_live_rows: the weights and biases of each layer on the
+        subset path."""
         if params is not self.params:
             return []
         return sorted(entry.span for entry in self._subset_layers())
 
-    def update_live_rows(self, lr: float, momentum: float) -> None:
+    def update_live_rows(self, lr: float) -> None:
         """The momentum update of the live rows that subset_spans() left out,
-        element for element the update of the blocks."""
+        element for element the update of the blocks; the dead rows' steps
+        pend."""
         for entry in self._subset_layers():
+            entry.pending += 1
             live, layer = entry.live, entry.layer
             g = np.take(entry.grad_weights, live, axis=0, mode="clip",
-                        out=self._scratch_rows(0, entry, live.size))
+                        out=self._scratch_rows(entry, live.size))
             v = np.take(entry.velocity_weights, live, axis=0, mode="clip",
-                        out=self._scratch_rows(1, entry, live.size))
+                        out=self._scratch_rows(entry, live.size, SUBSET_WIDTH))
             np.multiply(g, lr, out=g)
-            v *= momentum
+            v *= self.momentum
             v -= g
             entry.velocity_weights[live] = v
             rows = entry.subset[: live.size]
             rows += v
             layer.weights[live] = rows
-            v = entry.velocity_biases[live] * momentum
+            v = entry.velocity_biases[live] * self.momentum
             v -= entry.grad_biases[live] * lr
             entry.velocity_biases[live] = v
             layer.biases[live] += v

@@ -13,10 +13,13 @@ loss_and_grads for the dual model, identity_loss_and_grads for the identity
 classifier. The loop also owns the views' nncore.LiveRows record, so that
 each backward clears only the weight-gradient rows the previous one left
 non-zero, and beside it an nncore.FrozenRows record: every
-nncore.FREEZE_EVERY steps it proves first-layer rows frozen, against every
-image their network is fed, and once a first layer has few live rows the
-forward and the update skip the frozen ones. Both records live for one
-training. Then one SGD-with-momentum call updates the whole vector. The
+nncore.FREEZE_EVERY steps it proves first-layer rows dead, against every
+image their network is fed and however far their momentum tail moves them,
+and once a first layer has few live rows the forward and the update skip
+the dead ones. The steps a dead row skips pend; the record replays them at
+each certificate, until the row is frozen, and once more after the last
+step, before the model is returned. Both records live for one training.
+Then one SGD-with-momentum call updates the whole vector. The
 learning rate decays linearly across the planned step count. Reports are
 per-step CSV rows `step,lr,l1,l2,l3,total,t_ratio`. Both models are saved and
 loaded through one checkpoint writer and one reader, keyed by model kind.
@@ -266,12 +269,14 @@ def _fit(units, sgd: SgdConfig, objective, feeds, seed: int, variant: str,
     gradients into grad_views, with live_rows their LiveRows record and
     frozen_rows the FrozenRows record for the forward, and returns its
     (l1, l2, l3, total, t_ratio), or raises NumericError, which is re-raised
-    with the last good step's report row.
+    with the last good step's report row. After the last step frozen_rows
+    replays the steps its dead rows still pend, so that units hold the
+    weights of the full path.
     """
     params, grad, grad_views = pack_parameters(units)
     live_rows = LiveRows()
     velocity = np.zeros_like(params)
-    frozen_rows = FrozenRows(units, params, grad_views, velocity, feeds)
+    frozen_rows = FrozenRows(units, params, grad_views, velocity, feeds, sgd.momentum)
     records = []
     for step in range(sgd.total_steps):
         if step % FREEZE_EVERY == 0:
@@ -287,6 +292,7 @@ def _fit(units, sgd: SgdConfig, objective, feeds, seed: int, variant: str,
         lr = sgd.learning_rate(step)
         sgd_step([params], [grad], [velocity], step, sgd, frozen_rows)
         records.append(TrainRecord(step, lr, *losses))
+    frozen_rows.catch_up()
     echo.update(momentum=sgd.momentum, lr_start=sgd.lr_start, lr_end=sgd.lr_end,
                 batch_size=sgd.batch_size, epochs=sgd.epochs, total_steps=sgd.total_steps)
     return TrainReport(records, seed, variant, echo)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from morphdet import cli, fusedloss
+from morphdet import cli, evalbench, fusedloss, trainer
 from morphdet.cli import main, selftest_gradients, selftest_identity_gradients
 from morphdet.nncore import LiveRows
 
@@ -112,6 +112,40 @@ def test_a_plain_eval_leaves_no_fused_output_of_an_earlier_eval(pipeline, tmp_pa
             "det_fused-dissimilarity.svg"} <= set(_tree_bytes(out))
     assert run(plain) == 0
     assert _tree_bytes(out) == fresh
+
+
+def _interrupted(*_args, **_kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("argv, module, step, outputs", [
+    (["train", "--seed", 3, "--variant", "fc-v2", "--train-families", "landmark",
+      "--epochs", 1, "--batch-size", 7, *NET_FLAGS], trainer, "train",
+     ("checkpoint.mdck", "train_report.csv", "train.config")),
+    (["train-fr", "--seed", 3, "--epochs", 1, "--batch-size", 6, *NET_FLAGS], trainer,
+     "train_identity_classifier",
+     ("fr.mdck", "fr_report.csv", "train-fr.config")),
+    (["eval", "--protocol", "protocol-landmark.tsv", "--checkpoint", "checkpoint.mdck",
+      "--fr-checkpoint", "fr.mdck"], evalbench, "write_scores",
+     ("eval.config", "scores_fused.tsv")),
+], ids=["train", "train-fr", "eval"])
+def test_an_interrupted_run_leaves_no_output_of_an_earlier_one(pipeline, tmp_path, monkeypatch,
+                                                               argv, module, step, outputs):
+    """A command interrupted before its first write, into a directory that
+    holds an earlier run's outputs, leaves none of them to pass as its own:
+    no checkpoint, report or config of a training, and no config or fused
+    scores of an eval."""
+    inputs = {"protocol-landmark.tsv": pipeline["data"], "checkpoint.mdck": pipeline["train"],
+              "fr.mdck": pipeline["train"]}
+    out = tmp_path / "run"
+    argv = [argv[0], "--data-dir", pipeline["data"], "--out-dir", out,
+            *[inputs[a] / a if a in inputs else a for a in argv[1:]]]
+    assert run(argv) == 0
+    assert all((out / name).exists() for name in outputs)
+    monkeypatch.setattr(module, step, _interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(argv)
+    assert not [name for name in outputs if (out / name).exists()]
 
 
 def test_full_regeneration_is_byte_identical(pipeline):

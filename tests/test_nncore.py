@@ -5,6 +5,7 @@ reference, and every gradient path against central differences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ def test_backward_into_a_used_or_nan_buffer_writes_the_bytes_of_a_zeroed_one(bat
             assert np.array_equal(bits(result), expected), (n_live, k)
 
 
-def frozen_record(backbone, images, block_rows=28, head=None):
+def frozen_record(backbone, images, block_rows=28, head=None, momentum=0.9):
     """A FrozenRows record over the packed parameters of backbone (and head),
     whose first layer is fed images; returns (record, params, grad,
     grad_views, velocity)."""
@@ -400,13 +401,13 @@ def frozen_record(backbone, images, block_rows=28, head=None):
     velocity = np.zeros_like(params)
     feed = (backbone.layers[0], lambda: (images[at : at + block_rows]
                                          for at in range(0, len(images), block_rows)))
-    record = FrozenRows(units, params, grad_views, velocity, [feed])
+    record = FrozenRows(units, params, grad_views, velocity, [feed], momentum)
     return record, params, grad, grad_views, velocity
 
 
 def test_subset_forward_is_the_full_product_bit_for_bit():
     """Every live count the subset path takes, at the desk training shape:
-    the live rows padded with frozen ones to SUBSET_WIDTH columns."""
+    the live rows padded with dead ones to the subset width."""
     batch, dims = 28, (1024, 256, 64)
     rng = np.random.default_rng(23)
     backbone = MlpBackbone.build(dims, rng)
@@ -441,6 +442,54 @@ def test_a_subset_forward_that_differs_from_the_full_product_is_not_taken():
                               bits([full_feats, full_cache[0][0], full_cache[1][1]]))
 
 
+def test_subset_width_is_the_live_rows_rounded_up_to_eight_and_forty_at_least():
+    """At the desk training shape every width from 40 to 64 reproduces the
+    full product, so the first product of each is taken and kept."""
+    rng = np.random.default_rng(31)
+    backbone = MlpBackbone.build((1024, 256, 64), rng)
+    x = rng.uniform(-1.0, 1.0, size=(28, 1024))
+    for n_live, width in [(1, 40), (40, 40), (41, 48), (48, 48), (57, 64), (64, 64)]:
+        with_live_units(backbone, n_live, rng)
+        record, *_arrays = frozen_record(backbone, x)
+        record.certify(LiveRows())
+        backbone.forward_cached(x, record)
+        (entry,) = record._layers
+        assert entry.exact == {width: True}, n_live
+
+
+def test_subset_width_falls_back_to_the_widest_then_to_the_full_product(monkeypatch):
+    """A width whose first product differs from the full one gives way to
+    SUBSET_WIDTH columns; where that differs too, the layer takes the full
+    product and the full update, and its dead rows' pending tail is replayed
+    first. Parameters, velocities and features keep the full path's bits."""
+    rng = np.random.default_rng(32)
+    backbone = MlpBackbone.build((1024, 256, 64), rng)
+    with_live_units(backbone, 20, rng)
+    x = rng.uniform(-1.0, 1.0, size=(28, 1024))
+    record, params, grad, _grad_views, velocity = frozen_record(backbone, x)
+    velocity[...] = rng.normal(scale=1e-3, size=velocity.size)  # a tail to replay
+    record.certify(LiveRows())
+    (entry,) = record._layers
+    dead = np.zeros(params.size, dtype=bool)
+    dead[: 256 * 1025] = np.concatenate([np.repeat(entry.dead, 1024), entry.dead])
+    cfg = SgdConfig(momentum=0.9, lr_start=0.1, lr_end=0.1, total_steps=3)
+    p_ref, v_ref = params.copy(), velocity.copy()
+    monkeypatch.setattr(np, "array_equal", lambda a, b: False)  # every product differs
+    for step, exact in enumerate([{40: False}] + [{40: False, 64: False}] * 2):
+        feats, _cache = backbone.forward_cached(x, record)
+        assert entry.exact == exact
+        assert bits([feats]).tobytes() == bits([backbone.forward(x)]).tobytes()
+        if step == 1:
+            assert entry.pending == 0
+            assert bits([params, velocity]).tobytes() == bits([p_ref, v_ref]).tobytes()
+        grad[...] = rng.normal(size=grad.size)
+        grad[dead] = 0.0  # a unit that does not fire has a +0.0 gradient row
+        sgd_step([params], [grad], [velocity], step, cfg, record)
+        _reference_sgd_step([p_ref], [grad], [v_ref], cfg.learning_rate(step), cfg.momentum)
+        assert entry.pending == (1 if step == 0 else 0)
+    assert bits([params, velocity]).tobytes() == bits([p_ref, v_ref]).tobytes()
+
+
 def one_image_unit(images, row, backbone, fires):
     """Set row of the first layer so that its unit fires on exactly one of
     images, moved to the end (fires=True), or on none of them."""
@@ -458,7 +507,16 @@ def frozen_rows_of(record):
     return np.flatnonzero(entry.frozen).tolist()
 
 
+def dead_rows_of(record):
+    """The rows of the record's one first layer proven dead so far."""
+    (entry,) = record._layers
+    return np.flatnonzero(entry.dead).tolist()
+
+
 def test_a_row_that_fires_on_one_image_does_not_freeze():
+    """A unit that fires on the last fed image only is proven neither dead
+    nor frozen. A row not dead is tested at every certificate, unless
+    LiveRows has seen its unit fire since the last one."""
     rng = np.random.default_rng(25)
     backbone = MlpBackbone.build((20, 8, 6), rng)
     layer = backbone.layers[0]
@@ -471,22 +529,23 @@ def test_a_row_that_fires_on_one_image_does_not_freeze():
     velocity[:40] = params[:40] * 2.0 ** -60
     live_rows = LiveRows()
     record.certify(live_rows)
-    assert frozen_rows_of(record) == [1]
-    # row 0 cannot fire now, but it is not tried again until it has fired
-    firing_bias = layer.biases[0]
-    layer.biases[0] = -1e3
-    record.certify(live_rows)
-    assert frozen_rows_of(record) == [1]
-    g = np.zeros((1, 8))
-    g[0, 0] = 1.0
-    live_rows.weight_gradient(g, images[:1], np.zeros((8, 20)))  # not the record's array
-    record.certify(live_rows)
-    assert frozen_rows_of(record) == [1]
-    layer.biases[0] = firing_bias
+    assert dead_rows_of(record) == [1]
+    assert frozen_rows_of(record) == []  # tested for a no-op update from the next certificate
+    # row 0's unit fires on a batch, and then can fire on no image: it is not
+    # tested at the next certificate
     _feats, cache = backbone.forward_cached(images[-1:])
     backbone.backward(cache, np.ones((1, 6)), grad_views, live_rows)
     assert grad_views[0][0].any()
     layer.biases[0] = -1e3
+    record.certify(live_rows)
+    assert dead_rows_of(record) == [1]
+    assert frozen_rows_of(record) == [1]
+    # a unit seen firing in an array that is not the record's does not count
+    g = np.zeros((1, 8))
+    g[0, 0] = 1.0
+    live_rows.weight_gradient(g, images[:1], np.zeros((8, 20)))
+    record.certify(live_rows)
+    assert dead_rows_of(record) == [0, 1]
     record.certify(live_rows)
     assert frozen_rows_of(record) == [0, 1]
 
@@ -502,19 +561,24 @@ def test_a_negative_zero_weight_with_a_positive_zero_velocity_does_not_freeze():
     record, *_arrays, velocity = frozen_record(backbone, images)
     assert not velocity.any() and not np.signbit(velocity).any()
     record.certify(LiveRows())
+    record.certify(LiveRows())
+    assert dead_rows_of(record) == list(range(8))
     assert frozen_rows_of(record) == list(range(1, 8))
 
 
 def test_sgd_step_leaves_frozen_rows_and_their_velocity_alone():
     """With a first layer on its subset path, sgd_step updates its live rows
-    and every other element as the blocked update does, and touches no
-    frozen row's weights, bias or velocity."""
+    and every other element as the blocked update does, and touches no dead
+    row's weights, bias or velocity; catch_up() then replays the dead rows'
+    momentum tail to the bits of the blocked update with their zero
+    gradient rows."""
     rng = np.random.default_rng(27)
     backbone = MlpBackbone.build((300, 100, 5), rng)
     head = ClassifierHead.build(3, 5, rng)
     with_live_units(backbone, 17, rng)
     x = rng.uniform(-1.0, 1.0, size=(28, 300))
     record, params, grad, _grad_views, velocity = frozen_record(backbone, x, head=head)
+    velocity[...] = rng.normal(scale=1e-3, size=velocity.size)  # a tail to replay
     record.certify(LiveRows())
     dead = backbone.layers[0].biases < 0
     cfg = SgdConfig(momentum=0.9, lr_start=0.3, lr_end=0.01, total_steps=3)
@@ -522,14 +586,124 @@ def test_sgd_step_leaves_frozen_rows_and_their_velocity_alone():
     skipped = np.zeros(params.size, dtype=bool)
     skipped[: 100 * 300] = np.repeat(dead, 300)
     skipped[100 * 300 : 100 * 301] = dead
+    dead_before = params[skipped].copy(), velocity[skipped].copy()
     for step in range(cfg.total_steps):
         grad[...] = rng.normal(size=grad.size)
-        frozen_before = params[skipped].copy(), velocity[skipped].copy()
+        grad[skipped] = 0.0  # a unit that does not fire has a +0.0 gradient row
         sgd_step([params], [grad], [velocity], step, cfg, record)
         _reference_sgd_step([p_ref], [grad], [v_ref], cfg.learning_rate(step), cfg.momentum)
         assert np.array_equal(bits([params[~skipped], velocity[~skipped]]),
                               bits([p_ref[~skipped], v_ref[~skipped]]))
-        assert np.array_equal(bits([params[skipped], velocity[skipped]]), bits(frozen_before))
+        assert np.array_equal(bits([params[skipped], velocity[skipped]]), bits(dead_before))
+    assert not np.array_equal(bits([params]), bits([p_ref]))
+    record.catch_up()
+    assert np.array_equal(bits([params, velocity]), bits([p_ref, v_ref]))
+
+
+def test_a_certificate_maps_each_fed_block_once():
+    """With more candidate rows than SUBSET_WIDTH, certify() maps every block
+    of the feed once, and gathers no matrix of all candidate rows (2 MiB
+    here): beside the subset buffer of the layer it puts on the subset path,
+    it allocates under 128 KiB."""
+    rng = np.random.default_rng(29)
+    backbone = MlpBackbone.build((1024, 256, 8), rng)
+    backbone.layers[0].biases[...] = -1e3  # no unit fires: every block is scanned
+    images = rng.uniform(-1.0, 1.0, size=(60, 1024))
+    units = backbone.layers
+    params, _grad, grad_views = pack_parameters(units)
+    velocity = np.zeros_like(params)
+    yields = []
+
+    def blocks():
+        for at in range(0, len(images), 7):
+            yields.append(at)
+            yield images[at : at + 7]
+
+    record = FrozenRows(units, params, grad_views, velocity, [(units[0], blocks)], 0.9)
+    tracemalloc.start()
+    try:
+        record.certify(LiveRows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert yields == list(range(0, 60, 7))
+    assert dead_rows_of(record) == list(range(256))
+    assert peak < SUBSET_WIDTH * 1024 * 8 + 2 ** 17, peak
+
+
+def tail_rows(rng, momentum, rows, width, images, margins):
+    """A first layer of rows units of width inputs, a velocity that the
+    momentum tail turns into a rise of every unit's pre-activation, and
+    biases that put each unit's top pre-activation over images at
+    -margin * S, S = m / (1 - m) * (||v_w||_1 + |v_b|) the most the exact
+    tail can raise it: (weights, biases, velocity weights, velocity biases)."""
+    weights = rng.uniform(-0.5, 0.5, size=(rows, width))
+    scale = 10.0 ** rng.uniform(-5.0, -1.0, size=rows)
+    v_weights = rng.normal(size=(rows, width)) * (scale / width)[:, None]
+    v_biases = rng.uniform(0.5, 1.0, size=rows) * scale
+    reach = momentum / (1.0 - momentum) * (np.abs(v_weights).sum(axis=1) + v_biases)
+    biases = -(images @ weights.T).max(axis=0) - margins * reach
+    return weights, biases, v_weights, v_biases
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), momentum=st.sampled_from([0.5, 0.9, 0.99]))
+def test_a_dead_row_never_fires_through_its_velocity_tail(seed, momentum):
+    """Random small layers, certified and then run through 400 zero-gradient
+    steps: the computed pre-activation of every row proven dead stays <= 0
+    on every fed image. Rows whose margin is below their tail's rise cross
+    zero, and a certificate without the tail's bound D proves them dead."""
+    rng = np.random.default_rng(seed)
+    rows, width = 12, int(rng.integers(2, 24))
+    images = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 30)), width))
+    backbone = MlpBackbone.build((width, rows, 3), rng)
+    layer = backbone.layers[0]
+    record, params, grad, _grad_views, velocity = frozen_record(
+        backbone, images, block_rows=5, momentum=momentum)
+    (entry,) = record._layers
+    weights, biases, v_weights, v_biases = tail_rows(rng, momentum, rows, width, images,
+                                                     rng.uniform(0.0, 3.0, size=rows))
+    layer.weights[...], layer.biases[...] = weights, biases
+    entry.velocity_weights[...], entry.velocity_biases[...] = v_weights, v_biases
+    record.certify(LiveRows())
+    dead = np.array(dead_rows_of(record), dtype=np.intp)
+    cfg = SgdConfig(momentum=momentum, lr_start=0.1, lr_end=0.1, total_steps=400)
+    for step in range(cfg.total_steps):
+        sgd_step([params], [grad], [velocity], step, cfg, record)
+        z = images @ layer.weights[dead].T + layer.biases[dead]
+        assert not (z > 0).any(), (step, dead[(z > 0).any(axis=0)])
+
+
+def test_a_row_whose_velocity_tail_crosses_zero_is_not_proven_dead():
+    """The same units without velocity are dead; with the velocity, those
+    whose tail would raise the pre-activation past zero are not, and
+    neither are those too close to zero for the tail's bound."""
+    rng = np.random.default_rng(30)
+    rows, width, momentum = 6, 10, 0.9
+    images = rng.uniform(-1.0, 1.0, size=(20, width))
+    backbone = MlpBackbone.build((width, rows, 3), rng)
+    layer = backbone.layers[0]
+    record, *_arrays = frozen_record(backbone, images, momentum=momentum)
+    margins = np.array([0.2, 0.5, 0.9, 1.5, 2.5, 4.0])
+    layer.weights[...], layer.biases[...], v_weights, v_biases = tail_rows(
+        rng, momentum, rows, width, images, margins)
+    record.certify(LiveRows())
+    assert dead_rows_of(record) == list(range(rows))
+    record, *_arrays = frozen_record(backbone, images, momentum=momentum)
+    (entry,) = record._layers
+    entry.velocity_weights[...], entry.velocity_biases[...] = v_weights, v_biases
+    record.certify(LiveRows())
+    crossed = np.zeros(rows, dtype=bool)
+    weights, biases = layer.weights.copy(), layer.biases.copy()
+    for _ in range(400):
+        v_weights *= momentum
+        v_biases *= momentum
+        weights += v_weights
+        biases += v_biases
+        crossed |= (images @ weights.T + biases > 0).any(axis=0)
+    assert crossed[0] and not crossed[4:].any()
+    # D = 2q / (1 - q) * (||v_w||_1 + |v_b|), about twice the tail's reach
+    assert dead_rows_of(record) == [4, 5]
 
 
 def test_finite_diff_check_flags_a_wrong_gradient():

@@ -386,16 +386,18 @@ def desk_shaped_corpus(tmp_path_factory):
 DESK_NET = dict(hidden_dims=(256,), feature_dim=64)
 
 
-def _train_desk_shaped(corpus, model):
-    """30 steps of the detector (batch 28) or the identity classifier (batch
-    24); returns the trained parameters and the report."""
+def _train_desk_shaped(corpus, model, **sgd):
+    """The detector (batch 28, 10 epochs of three steps) or the identity
+    classifier (batch 24, 30 epochs of one step), with sgd overriding those
+    and other SgdConfig keywords; returns the trained parameters and the
+    report."""
     if model == "identity":
-        sgd = SgdConfig(epochs=30, batch_size=24)  # 24 bona fides: one step per epoch
+        sgd = SgdConfig(**{"epochs": 30, "batch_size": 24, **sgd})
         backbone, head, report = train_identity_classifier(
             corpus.root, corpus.bonafides, 6, sgd, 0, **DESK_NET)
         return backbone.parameters() + head.parameters(), report
     records = assemble_dataset(corpus.bonafides, corpus.selfmorphs, corpus.morphs, 0)
-    sgd = SgdConfig(epochs=10, batch_size=28)  # 96 records: three steps per epoch
+    sgd = SgdConfig(**{"epochs": 10, "batch_size": 28, **sgd})  # 96 records: 3 steps per epoch
     dual, report = train(corpus.root, records, corpus.bonafides, corpus.plan, 6, sgd,
                          "fc-v2", 0, pair_weight=0.25, **DESK_NET)
     return dual.parameters(), report
@@ -426,37 +428,89 @@ def test_live_row_training_matches_full_product_training(desk_shaped_corpus, mon
     assert report.records == full_report.records
 
 
-@pytest.mark.parametrize("model", ["detector", "identity"])
+# A learning rate at which desk-shaped units die mid-run, most by step 40,
+# and a momentum at which their velocity tails die out within 120 steps of
+# either model; "cut" ends at step 45, while those tails pend.
+SCHEDULES = {
+    "dying": {"detector": dict(epochs=40, lr_start=0.05, lr_end=0.0005, momentum=0.5),
+              "identity": dict(epochs=120, lr_start=0.05, lr_end=0.0005, momentum=0.5)},
+    "cut": {"detector": dict(epochs=15, lr_start=0.05, lr_end=0.0005, momentum=0.5),
+            "identity": dict(epochs=45, lr_start=0.05, lr_end=0.0005, momentum=0.5)},
+}
+
+
+# the silenced cases keep the ids they had before the dying and cut ones
+FROZEN_CASES = [(case, model) for case in ("silenced", "dying", "cut")
+                for model in ("detector", "identity")]
+
+
+@pytest.mark.parametrize("case, model", FROZEN_CASES, ids=[
+    model if case == "silenced" else f"{case}-{model}" for case, model in FROZEN_CASES])
 def test_frozen_row_training_matches_full_path_training(desk_shaped_corpus, monkeypatch,
-                                                        tmp_path, model):
-    """With all but 40 first-layer units silenced by -1e3 biases, as selftest
-    does, rows freeze at step 0 and every step takes the subset forward and
-    the live-row update; the full path, where no row is ever proven frozen,
-    must give the same bytes."""
-    build = MlpBackbone.build.__func__
+                                                        tmp_path, model, case):
+    """silenced: with all but 40 first-layer units silenced by -1e3 biases,
+    as selftest does, rows are proven dead at step 0 and every step takes
+    the subset forward (but where a width is first found inexact) and the
+    live-row update. dying: units die after step 0, certify() replays the
+    pending tails of dead rows in bulk, and rows that died freeze. cut: the
+    training ends while dead rows' tails pend, and its last catch-up
+    replays them. The full path, where no row is ever proven dead, must give
+    the same bytes."""
+    if case == "silenced":
+        build = MlpBackbone.build.__func__
 
-    def silenced(cls, dims, rng):
-        backbone = build(cls, dims, rng)
-        backbone.layers[0].biases[40:] = -1e3
-        return backbone
+        def silenced(cls, dims, rng):
+            backbone = build(cls, dims, rng)
+            backbone.layers[0].biases[40:] = -1e3
+            return backbone
 
-    monkeypatch.setattr(MlpBackbone, "build", classmethod(silenced))
-    subset_forwards = []
-    pre_activation = FrozenRows.pre_activation
+        monkeypatch.setattr(MlpBackbone, "build", classmethod(silenced))
+    sgd = SCHEDULES[case][model] if case in SCHEDULES else {}
+    forwards, certificates, replays = [], [], []
+    pre_activation, certify, replay = (FrozenRows.pre_activation, FrozenRows.certify,
+                                       FrozenRows._catch_up)
 
     def counting(self, layer, a):
         z = pre_activation(self, layer, a)
-        if z is not None:
-            subset_forwards.append(int(np.count_nonzero(z.any(axis=0))))
+        if any(entry.layer is layer for entry in self._layers):  # a first layer
+            forwards.append(None if z is None else int(np.count_nonzero(z.any(axis=0))))
         return z
 
+    def certifying(self, live_rows):
+        certify(self, live_rows)
+        certificates.append([(entry.dead.copy(), entry.frozen.copy(), entry.exact)
+                             for entry in self._layers])
+
+    def replaying(self, entry):
+        if (entry.dead & ~entry.frozen).any():
+            replays.append(entry.pending)
+        replay(self, entry)
+
     monkeypatch.setattr(FrozenRows, "pre_activation", counting)
-    params, report = _train_desk_shaped(desk_shaped_corpus, model)
+    monkeypatch.setattr(FrozenRows, "certify", certifying)
+    monkeypatch.setattr(FrozenRows, "_catch_up", replaying)
+    params, report = _train_desk_shaped(desk_shaped_corpus, model, **sgd)
+    monkeypatch.setattr(FrozenRows, "pre_activation", pre_activation)
     monkeypatch.setattr(FrozenRows, "certify", lambda self, live_rows: None)
-    full_params, full_report = _train_desk_shaped(desk_shaped_corpus, model)
-    # rows froze: every step's first layers took the subset product
-    assert len(subset_forwards) == 30 * (2 if model == "detector" else 1)
-    assert 0 < max(subset_forwards) <= 40
+    full_params, full_report = _train_desk_shaped(desk_shaped_corpus, model, **sgd)
+    first, last = certificates[0], certificates[-1]
+    if case == "silenced":
+        # rows died at step 0: every step's first layers took the subset
+        # product, or the full one where a width first differed from it
+        assert len(forwards) == len(report.records) * len(first)
+        subset = [count for count in forwards if count is not None and count <= 40]
+        inexact = sum(list(exact.values()).count(False) for _dead, _frozen, exact in last)
+        assert len(forwards) - len(subset) == inexact
+        assert max(subset) > 0
+    elif case == "cut":
+        assert replays[-1] >= 2  # the tails pending when the training ended
+    else:
+        died = [dead & ~dead_first for (dead, _frozen, _exact), (dead_first, _, _)
+                in zip(last, first)]
+        assert any(rows.any() for rows in died)  # units died after step 0
+        assert max(replays) >= 2  # tails replayed in bulk
+        assert any((rows & frozen).any() for rows, (_dead, frozen, _exact) in zip(died, last))
+        assert any(count is not None for count in forwards)
     for mine, full in zip(params, full_params):
         assert np.array_equal(mine.view(np.uint64), full.view(np.uint64))
     report.write_csv(tmp_path / "frozen.csv")
