@@ -507,7 +507,7 @@ class FrozenRows:
     product does not reproduce the full product's bits on its first batch (a
     matter of the BLAS kernel the shapes select) falls back to SUBSET_WIDTH
     columns; a layer where that fails too keeps the full product and the full
-    update.
+    update until rows that die make a width it has not tried its narrowest.
 
     feeds pairs first layers with a callable that yields, in blocks, the
     inputs of every image their network is fed. A layer that is not a ReLU
