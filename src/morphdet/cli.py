@@ -13,8 +13,8 @@ One binary, subcommands for each pipeline stage:
 
 Configuration comes from built-in defaults, an optional `key = value` file
 (--config), and per-key flags, in that precedence order. Every command
-writes its resolved configuration next to its outputs. Exit codes: 0
-success, 1 usage error, 2 data error, 3 numeric error.
+writes the resolved values of the keys it takes next to its outputs. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 """
 
 import argparse
@@ -35,6 +35,11 @@ FR_CHECKPOINT_NAME = "fr.mdck"
 SPLIT_NAME = "split.tsv"
 # the eval outputs that only a run with --fr-checkpoint writes
 FUSED_OUTPUTS = ("scores_fused.tsv", "det_fused-*.csv", "det_fused-*.svg")
+# a data-directory stage's manifest, written last, records a complete run; the
+# stage removes it, and every manifest derived from it, before its first write
+MORPH_OUTPUTS = (morphgen.MORPH_MANIFEST, "protocol-*.tsv",
+                 "gen-morphs.config", "gen-protocol-*.config")
+DATA_OUTPUTS = (synthfaces.DATASET_MANIFEST, SPLIT_NAME, "gen-data.config") + MORPH_OUTPUTS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +106,10 @@ def build_parser() -> _Parser:
 
 
 def _resolve(args, keys):
-    overrides = {name: getattr(args, name) for name in keys}
-    return cfgmod.resolve_config(args.config, overrides)
+    """The resolved values of keys and of no other key: what the command
+    reads, and what its .config file records."""
+    cfg = cfgmod.resolve_config(args.config, {name: getattr(args, name) for name in keys})
+    return {name: cfg[name] for name in keys}
 
 
 def _synth_config(cfg) -> synthfaces.SynthConfig:
@@ -149,6 +156,7 @@ def _read_dataset(data_dir):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args, _DATASET_KEYS)
+    remove_files(cfg["data_dir"], DATA_OUTPUTS)
     rows = synthfaces.generate_dataset(
         cfg["data_dir"], cfg["seed"], cfg["n_identities"],
         cfg["images_per_identity"], _synth_config(cfg),
@@ -165,6 +173,7 @@ def cmd_gen_morphs(args) -> int:
     synth_config = _synth_config(cfg)
     identities = [synthfaces.make_identity(cfg["seed"], i, synth_config) for i in ids]
     plan = datamine.split_identities(ids, cfg["seed"])
+    remove_files(data_dir, MORPH_OUTPUTS)
     datamine.write_split_plan(os.path.join(data_dir, SPLIT_NAME), plan)
     n_cross, _ = morphgen.morph_counts(len(rows))
     pairs = datamine.plan_morph_pairs(plan, n_cross, cfg["seed"])
@@ -206,11 +215,7 @@ def _load_training_records(cfg):
     rows, ids, _per = _read_dataset(data_dir)
     morph_rows = morphgen.read_morph_manifest(os.path.join(data_dir, morphgen.MORPH_MANIFEST))
     bona, selfmorphs, morphs = datamine.records_from_manifests(rows, morph_rows)
-    split_path = os.path.join(data_dir, SPLIT_NAME)
-    if os.path.exists(split_path):
-        plan = datamine.read_split_plan(split_path)
-    else:
-        plan = datamine.split_identities(ids, cfg["seed"])
+    plan = datamine.read_split_plan(os.path.join(data_dir, SPLIT_NAME))
     selfmorphs = datamine.filter_families(selfmorphs, cfg["train_families"])
     morphs = datamine.filter_families(morphs, cfg["train_families"])
     plan, held = datamine.holdout_identities(plan, cfg["seed"], cfg["validation_fraction"])

@@ -1,8 +1,8 @@
 """Flat key=value run configuration with typed schema and CLI overrides.
 
 Precedence: built-in defaults < config file < command-line flags. Every
-command writes its fully resolved configuration next to its outputs so any
-artifact can be regenerated from one file and one seed.
+command writes the resolved values of the keys it takes next to its outputs,
+so any artifact can be regenerated from one file and one seed.
 """
 
 from dataclasses import dataclass
@@ -29,21 +29,14 @@ def _parse_str(text):
 
 
 def _parse_str_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(str(v) for v in text)
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    return tuple(items)
+    return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
 def _parse_int_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
     return tuple(_parse_int(part) for part in _parse_str_list(text))
 
 
 def _parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
     return tuple(_parse_float(part) for part in _parse_str_list(text))
 
 

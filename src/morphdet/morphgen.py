@@ -6,12 +6,17 @@ onto the averaged geometry with inverse affine maps and bilinear sampling,
 then alpha-blend the warped images. Each warp is one batched pass over all
 triangles: one stacked affine solve, one barycentric test of every pixel
 center against each triangle whose bounding box holds it, one matrix
-product for the source coordinates and one bilinear gather. Selfmorphs run
-the same pipeline on two images of one identity and are labeled bona fide
-downstream; they exist to stop detectors from keying on blend artifacts.
+product for the source coordinates and one bilinear gather.
 
 Latent-family morphs delegate to the generator's latent interpolation and
 carry no warp artifacts at all.
+
+A selfmorph is a morph of one identity with itself, and both morph
+functions give a same-identity result its selfmorph kind. It is labeled
+bona fide downstream, to stop detectors from keying on blend artifacts. A
+landmark selfmorph blends two images of the identity; a latent selfmorph
+is a fresh render of the identity's own latent, which interpolates to
+itself, and reads no image.
 
 Rasterization contract: destination pixels are partitioned among triangles.
 A pixel center on a shared edge belongs to the lowest-index triangle in the
@@ -37,7 +42,7 @@ from .pgm import (
     landmark_path, read_landmarks, read_pgm, read_table, write_file, write_landmarks, write_pgm,
 )
 from .seeding import MORPH_JOB_STREAM, derive_rng
-from .synthfaces import FaceImage, IdentityModel, SynthConfig, latent_interpolate
+from .synthfaces import FaceImage, IdentityModel, SynthConfig, image_relpath, latent_interpolate
 
 MORPH_FAMILIES = (LANDMARK_FAMILY, LATENT_FAMILY)
 
@@ -48,13 +53,10 @@ _DUPLICATE_EPS = 1e-9
 @dataclass(frozen=True)
 class MorphConfig:
     blend_alpha: float = 0.5
-    family: str = LANDMARK_FAMILY
 
     def __post_init__(self):
         if not 0.0 < self.blend_alpha < 1.0:
             raise RangeError(f"blend_alpha must be in (0, 1), got {self.blend_alpha}")
-        if self.family not in MORPH_FAMILIES:
-            raise RangeError(f"unknown morph family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -306,41 +308,12 @@ def morph_landmark(a: FaceImage, b: FaceImage,
 
 
 def morph_latent(a: IdentityModel, b: IdentityModel, variation_seed,
-                 config: MorphConfig = MorphConfig(family=LATENT_FAMILY),
+                 config: MorphConfig = MorphConfig(),
                  synth_config: SynthConfig = SynthConfig()) -> MorphResult:
     """Morph two identities by rendering their interpolated latent."""
     _, face = latent_interpolate(a, b, config.blend_alpha, variation_seed, synth_config)
     kind = KIND_SELFMORPH_LATENT if a.identity_id == b.identity_id else KIND_MORPH_LATENT
     return MorphResult(face.pixels, face.landmarks, a.identity_id, b.identity_id, kind)
-
-
-def selfmorph(a: FaceImage, a2: FaceImage, family: str,
-              config: MorphConfig = MorphConfig(),
-              identity: IdentityModel = None, variation_seed=None,
-              synth_config: SynthConfig = SynthConfig()) -> MorphResult:
-    """Morph two presentations of one identity; the result counts as bona fide.
-
-    The landmark family works purely on the two images. The latent family
-    needs the identity model plus a fresh variation seed, since identical
-    latents interpolate to themselves and only the render varies.
-    """
-    if a.identity_id != a2.identity_id:
-        raise DataError(
-            f"selfmorph requires one identity, got {a.identity_id} and {a2.identity_id}"
-        )
-    if family == LANDMARK_FAMILY:
-        result = morph_landmark(a, a2, config)
-    elif family == LATENT_FAMILY:
-        if identity is None or variation_seed is None:
-            raise DataError("latent selfmorph needs the identity model and a variation seed")
-        if identity.identity_id != a.identity_id:
-            raise DataError("identity model does not match the input images")
-        result = morph_latent(identity, identity, variation_seed,
-                              MorphConfig(config.blend_alpha, LATENT_FAMILY), synth_config)
-    else:
-        raise RangeError(f"unknown morph family {family!r}")
-    result.kind = KIND_SELFMORPH_LM if family == LANDMARK_FAMILY else KIND_SELFMORPH_LATENT
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +340,6 @@ def morph_relpath(kind: str, job: int, id_first: int, id_second: int) -> str:
 
 
 def _load_face(root, identity_id, variation) -> FaceImage:
-    from .synthfaces import image_relpath
-
     path = os.path.join(root, image_relpath(identity_id, variation))
     return FaceImage(read_pgm(path), read_landmarks(landmark_path(path)), identity_id)
 
@@ -382,56 +353,44 @@ def generate_morph_corpus(root, seed: int, identities, cross_pairs,
 
     cross_pairs lists (id_first, id_second) identity pairs, one per
     cross-identity morph per family (the same pairs serve both families so
-    family comparisons are like for like). Selfmorph identities rotate
-    round-robin. Returns the manifest rows.
+    family comparisons are like for like). Each family runs one job list:
+    the selfmorphs first, as (i, i) with identities taken round-robin, then
+    the cross pairs; the job number counts across families. A landmark job
+    draws its two views from its own job stream, distinct ones for a
+    selfmorph, and reads them from root; a latent job reads no image.
+    Returns the manifest rows.
     """
     if images_per_identity < 2:
         raise DataError("selfmorphs need at least 2 images per identity")
     root = os.fspath(root)
     os.makedirs(os.path.join(root, MORPH_DIR), exist_ok=True)
     by_id = {ident.identity_id: ident for ident in identities}
-    n_cross = len(cross_pairs)
-    _, n_self = morph_counts(n_cross)
-    rows = []
-    job = 0
-
-    def emit(result: MorphResult):
-        nonlocal job
-        rel = morph_relpath(result.kind, job, result.id_first, result.id_second)
-        write_pgm(os.path.join(root, rel), result.pixels)
-        write_landmarks(landmark_path(os.path.join(root, rel)), result.landmarks)
-        rows.append((rel, result.id_first, result.id_second, result.kind))
-        job += 1
-
     all_ids = sorted(by_id)
+    _, n_self = morph_counts(len(cross_pairs))
+    jobs = [(all_ids[j % len(all_ids)],) * 2 for j in range(n_self)] + list(cross_pairs)
+    rows = []
     for family in families:
         if family not in MORPH_FAMILIES:
             raise RangeError(f"unknown morph family {family!r}")
-        for j in range(n_self):
-            identity_id = all_ids[j % len(all_ids)]
-            rng = derive_rng(seed, MORPH_JOB_STREAM, job)
-            v_a, v_b = rng.choice(images_per_identity, size=2, replace=False)
-            face_a = _load_face(root, identity_id, int(v_a))
-            face_b = _load_face(root, identity_id, int(v_b))
-            # 4-element seed tuples cannot collide with the 3-element bona
-            # fide render seeds, whatever the identity numbering
-            emit(selfmorph(face_a, face_b, family, config,
-                           identity=by_id[identity_id],
-                           variation_seed=(seed, MORPH_JOB_STREAM, job, 0),
-                           synth_config=synth_config))
-        for id_first, id_second in cross_pairs:
-            rng = derive_rng(seed, MORPH_JOB_STREAM, job)
-            v_a = int(rng.integers(images_per_identity))
-            v_b = int(rng.integers(images_per_identity))
-            if family == LANDMARK_FAMILY:
-                face_a = _load_face(root, id_first, v_a)
-                face_b = _load_face(root, id_second, v_b)
-                emit(morph_landmark(face_a, face_b, config))
+        for slot, (id_first, id_second) in enumerate(jobs):
+            job = len(rows)
+            if family == LATENT_FAMILY:
+                # 4-element seed tuples cannot collide with the 3-element bona
+                # fide render seeds, whatever the identity numbering
+                result = morph_latent(by_id[id_first], by_id[id_second],
+                                      (seed, MORPH_JOB_STREAM, job, 0), config, synth_config)
             else:
-                emit(morph_latent(by_id[id_first], by_id[id_second],
-                                  (seed, MORPH_JOB_STREAM, job, 0),
-                                  MorphConfig(config.blend_alpha, LATENT_FAMILY),
-                                  synth_config))
+                rng = derive_rng(seed, MORPH_JOB_STREAM, job)
+                if slot < n_self:
+                    views = rng.choice(images_per_identity, 2, replace=False)
+                else:
+                    views = rng.integers(images_per_identity), rng.integers(images_per_identity)
+                result = morph_landmark(_load_face(root, id_first, int(views[0])),
+                                        _load_face(root, id_second, int(views[1])), config)
+            rel = morph_relpath(result.kind, job, result.id_first, result.id_second)
+            write_pgm(os.path.join(root, rel), result.pixels)
+            write_landmarks(landmark_path(os.path.join(root, rel)), result.landmarks)
+            rows.append((rel, result.id_first, result.id_second, result.kind))
     write_morph_manifest(os.path.join(root, MORPH_MANIFEST), rows)
     return rows
 

@@ -107,9 +107,6 @@ class TrainRecord:
 @dataclass
 class TrainReport:
     records: list
-    seed: int
-    variant: str
-    config_echo: dict
 
     def write_csv(self, path) -> None:
         write_file(path, ["step,lr,l1,l2,l3,total,t_ratio\n"] + [
@@ -259,8 +256,7 @@ def _schedule(sgd: SgdConfig, n_records: int, what: str) -> SgdConfig:
     return dataclasses.replace(sgd, total_steps=sgd.epochs * steps_per_epoch)
 
 
-def _fit(units, sgd: SgdConfig, objective, feeds, seed: int, variant: str,
-         **echo) -> TrainReport:
+def _fit(units, sgd: SgdConfig, objective, feeds) -> TrainReport:
     """The SGD loop both models train with, over sgd from _schedule.
 
     units are the model's layers and heads in parameter order, and feeds
@@ -293,9 +289,7 @@ def _fit(units, sgd: SgdConfig, objective, feeds, seed: int, variant: str,
         sgd_step([params], [grad], [velocity], step, sgd, frozen_rows)
         records.append(TrainRecord(step, lr, *losses))
     frozen_rows.catch_up()
-    echo.update(momentum=sgd.momentum, lr_start=sgd.lr_start, lr_end=sgd.lr_end,
-                batch_size=sgd.batch_size, epochs=sgd.epochs, total_steps=sgd.total_steps)
-    return TrainReport(records, seed, variant, echo)
+    return TrainReport(records)
 
 
 def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
@@ -342,9 +336,7 @@ def train(root, corpus, trusted_records, plan: SplitPlan, num_classes: int,
 
     feeds = [(model.first_backbone.layers[0], _feed(pixels, suspect_image, sgd.batch_size)),
              (model.second_backbone.layers[0], _feed(pixels, trusted_image, sgd.batch_size))]
-    report = _fit(model.units(), sgd, objective, feeds, seed, variant,
-                  hidden_dims=list(hidden_dims), feature_dim=feature_dim,
-                  num_classes=num_classes, pair_weight=pair_weight)
+    report = _fit(model.units(), sgd, objective, feeds)
     return model, report
 
 
@@ -544,9 +536,7 @@ def train_identity_classifier(root, bonafide_records, num_classes: int,
         return loss, 0.0, 0.0, loss, 0.0
 
     feeds = [(backbone.layers[0], _feed(pixels, image_row, sgd.batch_size))]
-    report = _fit(backbone.layers + [head], sgd, objective, feeds, seed, "identity",
-                  hidden_dims=list(hidden_dims), feature_dim=feature_dim,
-                  num_classes=num_classes)
+    report = _fit(backbone.layers + [head], sgd, objective, feeds)
     return backbone, head, report
 
 

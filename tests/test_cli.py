@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from morphdet import cli, evalbench, fusedloss, trainer
+from morphdet import cli, evalbench, fusedloss, morphgen, synthfaces, trainer
 from morphdet.cli import main, selftest_gradients, selftest_identity_gradients
+from morphdet.config import parse_config_file
 from morphdet.nncore import LiveRows
 
 SIZE_FLAGS = ["--image-size", "16"]
@@ -146,6 +147,86 @@ def test_an_interrupted_run_leaves_no_output_of_an_earlier_one(pipeline, tmp_pat
     with pytest.raises(KeyboardInterrupt):
         run(argv)
     assert not [name for name in outputs if (out / name).exists()]
+
+
+def _failing_after(k, write):
+    """write_pgm that writes k images, then raises as an interrupt would."""
+    written = []
+
+    def write_pgm(path, pixels):
+        if len(written) == k:
+            raise KeyboardInterrupt
+        written.append(path)
+        write(path, pixels)
+
+    return write_pgm
+
+
+# stage -> (the module whose write_pgm it calls, its argv, its image count, the
+# files an interrupted rerun must leave none of, and each later command with
+# the file it must name as missing)
+_DATA_STAGES = {
+    "gen-data": (synthfaces, ["gen-data", "--seed", 3, *DATA_FLAGS], 18,
+                 ("manifest.tsv", "morphs.tsv", "split.tsv", "protocol-*.tsv", "gen-data.config",
+                  "gen-morphs.config", "gen-protocol-*.config"),
+                 (("gen-morphs", "manifest.tsv"), ("train", "manifest.tsv"),
+                  ("eval", "protocol-landmark.tsv"))),
+    "gen-morphs": (morphgen, ["gen-morphs", "--seed", 3, *SIZE_FLAGS], 54,
+                   ("morphs.tsv", "protocol-*.tsv", "gen-morphs.config",
+                    "gen-protocol-*.config"),
+                   (("gen-protocol", "morphs.tsv"), ("train", "morphs.tsv"),
+                    ("eval", "protocol-landmark.tsv"))),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_DATA_STAGES))
+@pytest.mark.parametrize("fraction", [0, 1, "half"])
+def test_an_interrupted_data_stage_leaves_no_manifest_to_pass_as_current(
+        pipeline, tmp_path, monkeypatch, capsys, stage, fraction):
+    """A data-directory stage interrupted after k of its images, rerun over a
+    complete data directory, leaves neither its manifest nor any derived
+    from it, so every later command exits 2 naming the missing file."""
+    module, argv, images, removed, later = _DATA_STAGES[stage]
+    k = images // 2 if fraction == "half" else fraction
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    assert (data / removed[0]).is_file()
+    monkeypatch.setattr(module, "write_pgm", _failing_after(k, module.write_pgm))
+    with pytest.raises(KeyboardInterrupt):
+        run([*argv, "--data-dir", data])
+    monkeypatch.undo()
+    assert [p.name for pattern in removed for p in data.glob(pattern)] == []
+    commands = {
+        "gen-morphs": ["gen-morphs", "--seed", 3, *SIZE_FLAGS],
+        "gen-protocol": ["gen-protocol", "--seed", 3, "--family", "landmark"],
+        "train": ["train", "--seed", 3, "--out-dir", tmp_path / "train", "--epochs", 1,
+                  "--batch-size", 7, *NET_FLAGS],
+        "eval": ["eval", "--out-dir", tmp_path / "eval",
+                 "--checkpoint", pipeline["train"] / "checkpoint.mdck",
+                 "--protocol", data / "protocol-landmark.tsv"],
+    }
+    capsys.readouterr()
+    for command, missing in later:
+        assert run([*commands[command], "--data-dir", data]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err, (command, err)
+
+
+def test_train_without_a_split_plan_names_it(pipeline, tmp_path, capsys):
+    """train reads its identity split from split.tsv and from nowhere else."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "split.tsv").unlink()
+    capsys.readouterr()
+    assert run(["train", "--data-dir", data, "--out-dir", tmp_path / "out", "--seed", 3,
+                "--epochs", 1, "--batch-size", 7, *NET_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "split.tsv" in err
+
+
+def test_a_config_lists_the_keys_its_command_takes(pipeline):
+    assert set(parse_config_file(pipeline["eval"] / "eval.config")) == set(cli._EVAL_KEYS)
+    assert set(parse_config_file(pipeline["train"] / "train.config")) == set(cli._TRAIN_KEYS)
 
 
 def test_full_regeneration_is_byte_identical(pipeline):

@@ -19,6 +19,7 @@ from morphdet.fusedloss import (
     LANDMARK_FAMILY,
     LATENT_FAMILY,
 )
+from morphdet import morphgen
 from morphdet.morphgen import (
     MorphConfig,
     WarpAccumulator,
@@ -30,13 +31,12 @@ from morphdet.morphgen import (
     morph_landmark,
     morph_latent,
     morph_relpath,
-    selfmorph,
     triangle_areas,
     triangulate,
     warp_affine_triangle,
     warp_image,
 )
-from morphdet.pgm import read_landmarks, read_pgm
+from morphdet.pgm import read_landmarks, read_pgm, write_pgm
 from morphdet.synthfaces import SynthConfig, generate_dataset, make_identity, render
 
 CFG = SynthConfig(image_size=16)
@@ -406,41 +406,26 @@ def test_morph_latent_matches_the_interpolated_render():
     a = make_identity(0, 0, CFG)
     b = make_identity(0, 1, CFG)
     seed = (9, 9, 9, 0)
-    result = morph_latent(a, b, seed, MorphConfig(family=LATENT_FAMILY), CFG)
+    result = morph_latent(a, b, seed, MorphConfig(), CFG)
     _, face = latent_interpolate(a, b, 0.5, seed, CFG)
     assert np.array_equal(result.pixels, face.pixels)
     assert np.array_equal(result.landmarks, face.landmarks)
     assert result.kind == KIND_MORPH_LATENT
-    same = morph_latent(a, a, seed, MorphConfig(family=LATENT_FAMILY), CFG)
+    same = morph_latent(a, a, seed, MorphConfig(), CFG)
     assert same.kind == KIND_SELFMORPH_LATENT
-
-
-def test_selfmorph_validation(face_pair):
-    a, b = face_pair
-    ident = make_identity(0, 0, CFG)
-    with pytest.raises(DataError, match="one identity"):
-        selfmorph(a, b, LANDMARK_FAMILY)
-    with pytest.raises(DataError, match="identity model"):
-        selfmorph(a, a, LATENT_FAMILY)
-    wrong = make_identity(0, 5, CFG)
-    with pytest.raises(DataError, match="does not match"):
-        selfmorph(a, a, LATENT_FAMILY, identity=wrong, variation_seed=(1,),
-                  synth_config=CFG)
-    with pytest.raises(RangeError):
-        selfmorph(a, a, "pixel", identity=ident)
 
 
 def test_selfmorph_kinds_and_latent_freshness(face_pair):
     a, _ = face_pair
     a2 = render(make_identity(0, 0, CFG), (0, 0, 1), CFG)
-    lm = selfmorph(a, a2, LANDMARK_FAMILY)
+    lm = morph_landmark(a, a2)
     assert lm.kind == KIND_SELFMORPH_LM
     assert lm.id_first == lm.id_second == 0
     ident = make_identity(0, 0, CFG)
     seed = (4, 4, 4, 0)
-    lat = selfmorph(a, a2, LATENT_FAMILY, identity=ident, variation_seed=seed,
-                    synth_config=CFG)
+    lat = morph_latent(ident, ident, seed, synth_config=CFG)
     assert lat.kind == KIND_SELFMORPH_LATENT
+    assert lat.id_first == lat.id_second == 0
     # identical latents interpolate to themselves, so the output is simply a
     # fresh render of the identity under the given seed
     fresh = render(ident, seed, CFG)
@@ -452,8 +437,6 @@ def test_morph_config_validation():
         MorphConfig(blend_alpha=0.0)
     with pytest.raises(RangeError):
         MorphConfig(blend_alpha=1.0)
-    with pytest.raises(RangeError):
-        MorphConfig(family="pixel")
     assert MorphConfig(blend_alpha=0.25).blend_alpha == 0.25
 
 
@@ -490,19 +473,21 @@ def test_generated_corpus_structure(tiny_corpus):
     assert lm_pairs == latent_pairs == list(tiny_corpus.cross_pairs)
 
 
-def test_morph_corpus_rerun_is_byte_identical(tmp_path):
+def _small_corpus_inputs(root):
     from morphdet.datamine import plan_morph_pairs, split_identities
     from morphdet.synthfaces import build_identities
 
-    pairs = None
+    generate_dataset(root, 6, 4, 2, CFG)
+    identities = build_identities(6, 4, CFG)
+    plan = split_identities([i.identity_id for i in identities], 6)
+    return identities, plan_morph_pairs(plan, 4, 6)
+
+
+def test_morph_corpus_rerun_is_byte_identical(tmp_path):
     digests = []
     for name in ("a", "b"):
         root = tmp_path / name
-        generate_dataset(root, 6, 4, 2, CFG)
-        identities = build_identities(6, 4, CFG)
-        if pairs is None:
-            plan = split_identities([i.identity_id for i in identities], 6)
-            pairs = plan_morph_pairs(plan, 4, 6)
+        identities, pairs = _small_corpus_inputs(root)
         rows = generate_morph_corpus(root, 6, identities, pairs, 2,
                                      synth_config=CFG)
         blob = (root / "morphs.tsv").read_bytes()
@@ -520,3 +505,53 @@ def test_morph_corpus_needs_two_images_per_identity(tmp_path):
     idents = build_identities(1, 3, CFG)
     with pytest.raises(DataError, match="at least 2"):
         generate_morph_corpus(root, 1, idents, [(0, 1)], 1, synth_config=CFG)
+
+
+def test_a_latent_corpus_reads_no_dataset_image(tmp_path):
+    """Latent morphs and selfmorphs render from the identity models alone,
+    so a dataset whose images are gone yields the same corpus."""
+    import shutil
+
+    identities, pairs = _small_corpus_inputs(tmp_path)
+    rows = generate_morph_corpus(tmp_path, 6, identities, pairs, 2,
+                                 families=(LATENT_FAMILY,), synth_config=CFG)
+    assert {kind for *_, kind in rows} == {KIND_MORPH_LATENT, KIND_SELFMORPH_LATENT}
+    written = {rel: (tmp_path / rel).read_bytes() for rel, *_ in rows}
+    shutil.rmtree(tmp_path / "images")
+    assert generate_morph_corpus(tmp_path, 6, identities, pairs, 2,
+                                 families=(LATENT_FAMILY,), synth_config=CFG) == rows
+    assert {rel: (tmp_path / rel).read_bytes() for rel in written} == written
+
+
+def test_a_landmark_corpus_reads_two_images_per_job(tmp_path, monkeypatch):
+    identities, pairs = _small_corpus_inputs(tmp_path)
+    reads = []
+    monkeypatch.setattr(morphgen, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    rows = generate_morph_corpus(tmp_path, 6, identities, pairs, 2,
+                                 families=(LANDMARK_FAMILY,), synth_config=CFG)
+    n_cross, n_self = morph_counts(len(pairs))
+    assert len(rows) == n_self + n_cross
+    assert len(reads) == 2 * (n_self + n_cross)
+    # a selfmorph blends two distinct views of its identity
+    for (rel, id_first, id_second, kind), pair in zip(rows, zip(reads[::2], reads[1::2])):
+        assert all(f"/id{i:04d}_" in path for i, path in zip((id_first, id_second), pair))
+        if kind == KIND_SELFMORPH_LM:
+            assert pair[0] != pair[1]
+
+
+def test_a_cross_pair_of_one_identity_draws_like_a_cross_pair(tmp_path):
+    """A job's place in the job list, not its two ids, says how it draws its
+    views: a cross pair whose ids are equal keeps its two integer draws."""
+    from morphdet.seeding import MORPH_JOB_STREAM, derive_rng
+
+    identities, _ = _small_corpus_inputs(tmp_path)
+    pairs = [(0, 1), (2, 2)]
+    rows = generate_morph_corpus(tmp_path, 6, identities, pairs, 2,
+                                 families=(LANDMARK_FAMILY,), synth_config=CFG)
+    assert [kind for *_, kind in rows] == [KIND_SELFMORPH_LM, KIND_MORPH_LM, KIND_SELFMORPH_LM]
+    job = 2
+    rng = derive_rng(6, MORPH_JOB_STREAM, job)
+    views = int(rng.integers(2)), int(rng.integers(2))
+    a, b = (morphgen._load_face(str(tmp_path), 2, v) for v in views)
+    write_pgm(tmp_path / "expected.pgm", morph_landmark(a, b).pixels)
+    assert (tmp_path / rows[job][0]).read_bytes() == (tmp_path / "expected.pgm").read_bytes()

@@ -94,8 +94,6 @@ def test_training_runs_the_exact_step_count(tiny_training):
     for row in report.records:
         assert np.isfinite([row.l1, row.l2, row.l3, row.total]).all()
         assert 0.0 <= row.t_ratio <= 1.0
-    assert report.variant == "fc-v2"
-    assert report.config_echo["total_steps"] == len(report.records)
 
 
 def test_training_is_deterministic(tiny_corpus, tiny_training):
@@ -526,7 +524,6 @@ def test_identity_classifier_learns_the_tiny_corpus(tiny_corpus):
     first_loss = report.records[0].l1
     last_loss = report.records[-1].l1
     assert last_loss < first_loss
-    assert report.variant == "identity"
     again, _, again_report = train_identity_classifier(
         tiny_corpus.root, tiny_corpus.bonafides, 6,
         SgdConfig(epochs=20, batch_size=6), 0, **SMALL)
